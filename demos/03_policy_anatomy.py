@@ -13,7 +13,7 @@ cfg = DdtmConfig()  # desk scale: d=32, 4 heads, 2 encoder layers, 1 decoder lay
 params = DdtmParameters.init(cfg, seed=0)
 inst = generate(GenConfig(n=6, k=2, t_max=1.5, seed=5))
 
-state = env.reset(inst, order=(0, 1))
+state = env.reset(inst, (0, 1))
 emb = mdl.encode(state, params, cfg)
 print(f"encoder rows: {emb.rows.shape}  (depot + {inst.n} customers + {inst.k} vehicles, width {cfg.d})")
 print(f"graph embedding: {emb.graph.shape}  (mean of the unmasked rows)")
@@ -26,11 +26,11 @@ while True:
     action = int(np.argmax(probs))
     line = "  ".join(f"{p:.3f}" if f else "  -  " for p, f in zip(probs, feas))
     print(f"  t_dec={dec.t_dec}  P(depot, customers...) = [{line}] -> action {action}")
-    vehicle = state.active_vehicle
+    vehicle = state.active_vehicle[0]
     state = env.step(state, action)
     dec.advance(np.array([action]))
     if action == 0:
-        print(f"  vehicle {vehicle} is done (fuel left {state.fuels[vehicle]:.3f})")
+        print(f"  vehicle {vehicle} is done (fuel left {state.fuels[0, vehicle]:.3f})")
         break
 
 print("\nfull greedy and sampled rollouts under both vehicle orders:")

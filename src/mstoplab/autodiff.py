@@ -18,10 +18,6 @@ import numpy as np
 # Additive-mask sentinel used by callers that need a finite "minus infinity".
 NEG_INF = -1e9
 
-# Saturation floor for the elementwise log kind: log(x) for x <= floor returns
-# log(floor) with zero gradient, so expressions like p*log(p) stay finite at p=0.
-LOG_FLOOR = 1e-300
-
 
 class AutodiffError(Exception):
     pass
@@ -316,20 +312,12 @@ def _op_exp(vals, attrs, needs):
     return out, lambda g: (g * out,)
 
 
-def _op_log(vals, attrs, needs):
-    # Saturates below LOG_FLOOR (zero gradient there) so 0*log(0) terms stay finite.
-    (x,) = vals
-    clamped = np.maximum(x, LOG_FLOOR)
-    out = np.log(clamped)
-    return out, lambda g: (np.where(x > LOG_FLOOR, g / clamped, 0.0),)
-
-
-def _reduce_backward(g, x_shape, axis, keepdims, denom):
+def _sum_backward(g, x_shape, axis, keepdims):
     if axis is None:
-        return np.full(x_shape, 1.0, dtype=np.float64) * (g / denom)
+        return np.full(x_shape, 1.0, dtype=np.float64) * g
     if not keepdims:
         g = np.expand_dims(g, axis)
-    return np.broadcast_to(g / denom, x_shape).copy()
+    return np.broadcast_to(g, x_shape).copy()
 
 
 def _op_sum(vals, attrs, needs):
@@ -337,16 +325,7 @@ def _op_sum(vals, attrs, needs):
     axis = attrs.get("axis")
     keepdims = attrs.get("keepdims", False)
     out = x.sum(axis=axis, keepdims=keepdims)
-    return out, lambda g: (_reduce_backward(g, x.shape, axis, keepdims, 1.0),)
-
-
-def _op_mean(vals, attrs, needs):
-    (x,) = vals
-    axis = attrs.get("axis")
-    keepdims = attrs.get("keepdims", False)
-    out = x.mean(axis=axis, keepdims=keepdims)
-    denom = x.size if axis is None else x.shape[axis]
-    return out, lambda g: (_reduce_backward(g, x.shape, axis, keepdims, float(denom)),)
+    return out, lambda g: (_sum_backward(g, x.shape, axis, keepdims),)
 
 
 def _op_batchnorm(vals, attrs, needs):
@@ -474,9 +453,7 @@ OP_KINDS = {
     "relu": _op_relu,
     "tanh": _op_tanh,
     "exp": _op_exp,
-    "log": _op_log,
     "sum": _op_sum,
-    "mean": _op_mean,
     "batchnorm": _op_batchnorm,
     "reshape": _op_reshape,
     "transpose": _op_transpose,
@@ -562,16 +539,8 @@ def exp(x):
     return forward("exp", [x])
 
 
-def log(x):
-    return forward("log", [x])
-
-
 def tsum(x, axis=None, keepdims=False):
     return forward("sum", [x], {"axis": axis, "keepdims": keepdims})
-
-
-def tmean(x, axis=None, keepdims=False):
-    return forward("mean", [x], {"axis": axis, "keepdims": keepdims})
 
 
 def batchnorm(x, running_mean, running_var, *, training, momentum=0.1, eps=1e-5, update_stats=False):

@@ -271,7 +271,13 @@ def cmd_eval(args) -> int:
     n = instances[0].n
     use_exact = args.reference == "exact" or (args.reference == "auto" and n <= EXACT_N_LIMIT)
     if use_exact:
-        reference = [solve_exact(inst).objective for inst in instances]
+        reference = []
+        for i, inst in enumerate(instances):
+            sol = solve_exact(inst)
+            if not sol.optimal:
+                raise RuntimeError(f"exact reference for instance {i} ran out of its node budget "
+                                   f"after {sol.expansions} expansions; pass --reference best")
+            reference.append(sol.objective)
         ref_label = "exact"
     else:
         reference = [max(per_strategy[s][i][1] for s in strategies) for i in range(len(instances))]

@@ -58,28 +58,8 @@ class TrajectoryCensus:
         return np.array([r for _, r in self.entries])
 
 
-def _solution_of(traj: env.Trajectory) -> Solution:
-    return Solution(routes=traj.routes, objective=traj.reward, optimal=False)
-
-
-def _identity_order(inst: Instance):
-    return tuple(range(inst.k))
-
-
-def _best(trajs_with_labels):
-    """First-strictly-best trajectory; ties keep the earlier enumeration entry."""
-    best = None
-    census_entries = []
-    for label, traj in trajs_with_labels:
-        census_entries.append((label, traj.reward))
-        if best is None or traj.reward > best[1].reward:
-            best = (label, traj)
-    return best[1], census_entries
-
-
-def _greedy_batch(instances, orders, params, cfg):
-    roll = mdl.rollout_states(list(instances), list(orders), params, cfg, mode="greedy")
-    return roll.trajectories
+def _greedy(instances, orders, params, cfg) -> mdl.BatchRollout:
+    return mdl.rollout_states(instances, orders, params, cfg, mode="greedy")
 
 
 def infer(inst: Instance, params: DdtmParameters, cfg: DdtmConfig,
@@ -87,41 +67,43 @@ def infer(inst: Instance, params: DdtmParameters, cfg: DdtmConfig,
     """Best solution under the chosen strategy, plus a census of all
     trajectories evaluated. Every returned solution is verified."""
     infer_cfg.validate()
-    identity = _identity_order(inst)
-    labelled = []
+    identity = tuple(range(inst.k))
+    perms = list(itertools.permutations(range(inst.k)))
 
+    # labels and rewards in evaluation order, and the trajectory of entry i
     if infer_cfg.strategy == "greedy":
-        labelled = [("greedy", mdl.rollout(inst, identity, params, cfg, mode="greedy"))]
+        roll = _greedy([inst], [identity], params, cfg)
+        labels, rewards, trajectory = ["greedy"], roll.rewards, roll.trajectory
 
     elif infer_cfg.strategy == "sampling":
-        if infer_cfg.include_greedy:
-            labelled.append(("greedy", mdl.rollout(inst, identity, params, cfg, mode="greedy")))
-        rng = np.random.default_rng(infer_cfg.seed)
         width = infer_cfg.sample_width
         roll = mdl.rollout_states([inst] * width, [identity] * width, params, cfg,
-                                  mode="sample", rng=rng)
-        labelled.extend((f"sample{i}", t) for i, t in enumerate(roll.trajectories))
+                                  mode="sample", rng=np.random.default_rng(infer_cfg.seed))
+        labels = [f"sample{i}" for i in range(width)]
+        rewards, trajectory = roll.rewards, roll.trajectory
+        if infer_cfg.include_greedy:
+            greedy = _greedy([inst], [identity], params, cfg)
+            labels = ["greedy"] + labels
+            rewards = np.concatenate([greedy.rewards, rewards])
+            trajectory = lambda i: greedy.trajectory(0) if i == 0 else roll.trajectory(i - 1)
 
     elif infer_cfg.strategy == "perm":
-        perms = list(itertools.permutations(range(inst.k)))
-        trajs = _greedy_batch([inst] * len(perms), perms, params, cfg)
-        labelled = [(f"order={p}", t) for p, t in zip(perms, trajs)]
+        roll = _greedy([inst] * len(perms), perms, params, cfg)
+        labels, rewards, trajectory = [f"order={p}" for p in perms], roll.rewards, roll.trajectory
 
     else:  # perm-aug
-        perms = list(itertools.permutations(range(inst.k)))
         variants = [(p, s) for p in perms for s in range(N_SYMMETRIES)]
-        batch = [apply_symmetry(inst, s) for _, s in variants]
-        trajs = _greedy_batch(batch, [p for p, _ in variants], params, cfg)
-        labelled = []
-        for (p, s), traj in zip(variants, trajs):
-            # decode ran on transformed coordinates; score on the original
-            actions = [step.action for step in traj.steps]
-            replayed = env.replay(inst, p, actions)
-            labelled.append((f"order={p} sym={s}", replayed))
+        orders = [p for p, _ in variants]
+        roll = _greedy([apply_symmetry(inst, s) for _, s in variants], orders, params, cfg)
+        # decode ran on transformed coordinates; score on the original
+        replayed = env.replay([inst] * len(variants), orders, roll.actions)
+        labels = [f"order={p} sym={s}" for p, s in variants]
+        rewards, trajectory = [t.reward for t in replayed], replayed.__getitem__
 
-    best_traj, entries = _best(labelled)
+    entries = [(label, float(r)) for label, r in zip(labels, rewards)]
+    best = trajectory(int(np.argmax(rewards)))   # first best: ties keep the earlier entry
     census = TrajectoryCensus(strategy=infer_cfg.strategy, entries=entries)
-    solution = _solution_of(best_traj)
+    solution = Solution(routes=best.routes, objective=best.reward, optimal=False)
     report = verify(inst, solution)
     if not report.ok:
         raise InferenceError(f"inference produced an invalid solution: {report.first_violation}")

@@ -94,16 +94,33 @@ class Instance:
     def prizes(self) -> np.ndarray:
         return self._cached("_prizes", lambda: np.array([c[2] for c in self.customers], dtype=np.float64))
 
+    def node_xy(self) -> np.ndarray:
+        """Coordinates of every node reference, (1 + n + K, 2), cached."""
+        return self._cached("_nxy", lambda: np.array(
+            [self.depot] + [(c[0], c[1]) for c in self.customers] + [(v[0], v[1]) for v in self.vehicles],
+            dtype=np.float64))
+
     def customer_xy(self) -> np.ndarray:
-        return self._cached("_cxy", lambda: np.array(
-            [(c[0], c[1]) for c in self.customers], dtype=np.float64).reshape(self.n, 2))
+        return self.node_xy()[1:self.n + 1]
 
     def vehicle_xy(self) -> np.ndarray:
-        return self._cached("_vxy", lambda: np.array(
-            [(v[0], v[1]) for v in self.vehicles], dtype=np.float64).reshape(self.k, 2))
+        return self.node_xy()[self.n + 1:]
 
     def fuels(self) -> np.ndarray:
         return self._cached("_fuels", lambda: np.array([v[2] for v in self.vehicles], dtype=np.float64))
+
+    def _legs_from(self, xy) -> np.ndarray:
+        to = self.node_xy()[:self.n + 1]
+        return np.hypot(to[None, :, 0] - xy[:, None, 0], to[None, :, 1] - xy[:, None, 1])
+
+    def legs(self) -> np.ndarray:
+        """Distances from every node to the depot and to every customer,
+        (1 + n + K, 1 + n), cached: row = from, column = to."""
+        return self._cached("_legs", lambda: self._legs_from(self.node_xy()))
+
+    def start_legs(self) -> np.ndarray:
+        """The vehicle-start rows of ``legs``, (K, 1 + n), cached on their own."""
+        return self._cached("_start_legs", lambda: self._legs_from(self.vehicle_xy()))
 
     def depot_legs(self) -> np.ndarray:
         """Customer-to-depot distances (return legs), cached."""

@@ -126,11 +126,14 @@ class DdtmParameters:
 
     @classmethod
     def from_arrays(cls, cfg: DdtmConfig, arrays: dict) -> "DdtmParameters":
-        """Adopt loaded arrays, validating every shape against the config."""
+        """Adopt loaded arrays, validating every name and shape against the config."""
         shapes, stats = parameter_schema(cfg)
         missing = sorted(set(shapes) - set(arrays))
         if missing:
             raise ValueError(f"checkpoint is missing parameters: {missing}")
+        unexpected = sorted(set(arrays) - set(shapes))
+        if unexpected:
+            raise ValueError(f"checkpoint has parameters the config does not name: {unexpected}")
         for name, shape in shapes.items():
             if arrays[name].shape != shape:
                 raise ValueError(
@@ -210,29 +213,18 @@ def _self_attention(rows, bind, prefix, heads, mask_add):
     return _attention(rows, kh, vh, bind(f"{prefix}_wq"), bind(f"{prefix}_wout"), heads, mask_add)
 
 
-def encode_states(states, params: DdtmParameters, cfg: DdtmConfig, *,
+def encode_states(state: env.State, params: DdtmParameters, cfg: DdtmConfig, *,
                   tape=None, bn_training=False, update_stats=False) -> Embeddings:
-    """Encoder forward over a batch of same-shape states (fresh per outer loop)."""
-    b = len(states)
-    inst0 = states[0].instance
-    n, k = inst0.n, inst0.k
-    depot = np.empty((b, 1, 2))
-    cust = np.empty((b, n, 3))
-    veh = np.empty((b, k, 3))
-    masked = np.zeros((b, 1 + n + k), dtype=bool)
-    for i, st in enumerate(states):
-        if st.terminal:
-            raise env.EnvError("cannot encode a terminal state")
-        inst = st.instance
-        if inst.n != n or inst.k != k:
-            raise ValueError("batched encode requires uniform instance extents")
-        depot[i, 0] = inst.depot
-        cust[i, :, :2] = inst.customer_xy()
-        cust[i, :, 2] = st.residual_prizes
-        veh[i, :, :2] = st.positions
-        veh[i, :, 2] = st.fuels
-        masked[i, 1:n + 1] = st.visited
-        masked[i, n + 1:] = st.done
+    """Encoder forward over every row of a state (fresh per outer loop)."""
+    if state.terminal.any():
+        raise env.EnvError("cannot encode a terminal state")
+    b, n = state.visited.shape
+    k = state.orders.shape[1]
+    depot = state.batch.rows(Instance.node_xy)[:, :1]
+    cust = np.concatenate([state.batch.rows(Instance.customer_xy), state.residual_prizes[..., None]],
+                          axis=-1)
+    veh = np.concatenate([state.positions, state.fuels[..., None]], axis=-1)
+    masked = np.concatenate([np.zeros((b, 1), dtype=bool), state.visited, state.done], axis=1)
 
     bind = _Binding(params, tape) if not isinstance(params, _Binding) else params
     rows = ad.concat([
@@ -264,8 +256,8 @@ def encode_states(states, params: DdtmParameters, cfg: DdtmConfig, *,
 
 
 def encode(state, params: DdtmParameters, cfg: DdtmConfig, *, tape=None, bn_training=False) -> Embeddings:
-    """Single-state encoder forward (evaluation-mode batch norm by default)."""
-    return encode_states([state], params, cfg, tape=tape, bn_training=bn_training)
+    """Encoder forward with evaluation-mode batch norm by default."""
+    return encode_states(state, params, cfg, tape=tape, bn_training=bn_training)
 
 
 class RouteDecoder:
@@ -335,24 +327,20 @@ class RouteDecoder:
         self.t_dec += 1
 
 
-def start_route(emb: Embeddings, states, params, cfg: DdtmConfig, tape=None) -> RouteDecoder:
-    if not isinstance(states, (list, tuple)):
-        states = [states]
+def start_route(emb: Embeddings, state: env.State, params, cfg: DdtmConfig,
+                tape=None) -> RouteDecoder:
     bind = params if isinstance(params, _Binding) else _Binding(params, tape)
-    vehicle_ids = np.array([st.active_vehicle for st in states])
-    return RouteDecoder(emb, bind, cfg, vehicle_ids)
+    return RouteDecoder(emb, bind, cfg, state.active_vehicle)
 
 
-def decode_step(dec: RouteDecoder, state, *, return_logits=False):
-    """Action distribution (depot + customers) for one single-instance state.
+def decode_step(dec: RouteDecoder, state: env.State, *, return_logits=False):
+    """Action distribution (depot + customers) for a one-row state.
 
     Returns probabilities summing to one with exact zeros on infeasible
     actions; optionally also the clamped pre-mask logits.
     """
-    feas = env.feasible_mask(state)
-    mask = np.where(feas, 0.0, NEG_INF)[None, :]
-    fuel = np.array([state.fuels[state.active_vehicle]])
-    out = dec.step(fuel, mask, return_logits=return_logits)
+    mask = np.where(env.feasible_mask(state), 0.0, NEG_INF).reshape(1, -1)
+    out = dec.step(state.fuel, mask, return_logits=return_logits)
     if return_logits:
         logp, logits = out
         return np.exp(logp.values[0]), logits.values[0]
@@ -361,12 +349,17 @@ def decode_step(dec: RouteDecoder, state, *, return_logits=False):
 
 @dataclass
 class BatchRollout:
-    trajectories: list
-    rewards: np.ndarray
-    logp_sum: Tensor | None = None       # (B,) on-tape trajectory log-probabilities
-    entropy_sum: Tensor | None = None    # (B,) on-tape summed step entropies
-    mean_step_entropy: float = 0.0
-    binding: _Binding | None = None
+    orders: np.ndarray                   # (B, K) vehicle orders
+    actions: np.ndarray                  # (B, T) action record, -1 where a row did not act
+    rewards: np.ndarray                  # (B,)
+    logp_sum: Tensor                     # (B,) on-tape trajectory log-probabilities
+    entropy_sum: Tensor                  # (B,) on-tape summed step entropies
+    mean_step_entropy: float
+    binding: _Binding
+
+    def trajectory(self, i: int) -> env.Trajectory:
+        return env.Trajectory.of_row(self.orders[i], self.actions[i], self.rewards[i],
+                                     self.logp_sum.values[i])
 
 
 def _sample_rows(probs: np.ndarray, rng) -> np.ndarray:
@@ -385,7 +378,10 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
     Every vehicle slot is decoded jointly: elements whose route already ended
     are forced onto the depot with a point-mass distribution and contribute
     exactly zero log-probability and entropy (their rows are also excluded
-    from the returned sums via an alive mask).
+    from the returned sums via an alive mask), and the environment leaves
+    them unchanged until the slot ends. Replay mode takes ``forced_actions``
+    as the (B, T) action record of an earlier rollout of the same instances
+    and orders.
     """
     if mode not in ("greedy", "sample", "replay"):
         raise ValueError(f"unknown rollout mode '{mode}'")
@@ -393,34 +389,24 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
         raise ValueError("sample mode needs an rng")
     if mode == "replay" and forced_actions is None:
         raise ValueError("replay mode needs forced_actions")
-    b = len(instances)
-    states = [env.reset(inst, order) for inst, order in zip(instances, orders)]
-    n, k = instances[0].n, instances[0].k
+    forced = np.asarray(forced_actions, dtype=np.intp) if mode == "replay" else None
+    state = env.reset(list(instances), list(orders))
+    b = len(state)
     bind = _Binding(params, tape)
-    trajs = [env.Trajectory(order=tuple(orders[i])) for i in range(b)]
-    routes = [[[] for _ in range(k)] for _ in range(b)]
-    forced_ptr = [0] * b
+    record = []
     logp_acc = None
     ent_acc = None
     ent_value_total = 0.0
     alive_steps = 0
 
-    for slot in range(k):
-        emb = encode_states(states, bind, cfg, tape=tape,
+    for slot in range(state.orders.shape[1]):
+        emb = encode_states(state, bind, cfg, tape=tape,
                             bn_training=bn_training, update_stats=update_stats)
-        vehicle_ids = np.array([st.order[slot] for st in states])
-        dec = RouteDecoder(emb, bind, cfg, vehicle_ids)
+        dec = RouteDecoder(emb, bind, cfg, state.orders[:, slot])
         open_rows = np.ones(b, dtype=bool)
         while open_rows.any():
-            mask_add = np.full((b, n + 1), NEG_INF)
-            mask_add[:, 0] = 0.0
-            feas_rows = [None] * b
-            for i in range(b):
-                if open_rows[i]:
-                    feas_rows[i] = env.feasible_mask(states[i])
-                    mask_add[i, feas_rows[i]] = 0.0
-            fuels = np.array([states[i].fuels[vehicle_ids[i]] for i in range(b)])
-            logp = dec.step(fuels, mask_add)
+            mask_add = np.where(env.feasible_mask(state, open_rows), 0.0, NEG_INF)
+            logp = dec.step(state.fuel, mask_add)
             probs = np.exp(logp.values)
             if not np.isfinite(probs).all():
                 raise ad.NonFiniteError("decode produced non-finite action probabilities")
@@ -428,10 +414,10 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
                 actions = probs.argmax(axis=1)
             elif mode == "sample":
                 actions = _sample_rows(probs, rng)
+            elif len(record) < forced.shape[1]:
+                actions = forced[:, len(record)]
             else:
-                actions = np.array([
-                    forced_actions[i][forced_ptr[i]] if open_rows[i] else 0 for i in range(b)],
-                    dtype=np.intp)
+                raise ValueError("forced actions end before the rollout does")
             actions = np.where(open_rows, actions, 0)
             alive = open_rows.astype(np.float64)
             chosen = ad.mul(ad.gather_last(logp, actions), ad.constant(alive))
@@ -441,32 +427,15 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
             ent_acc = ent if ent_acc is None else ad.add(ent_acc, ent)
             ent_value_total += float(ent.values.sum())
             alive_steps += int(open_rows.sum())
-            for i in range(b):
-                if not open_rows[i]:
-                    continue
-                a = int(actions[i])
-                veh = vehicle_ids[i]
-                states[i] = env.step(states[i], a, _mask=feas_rows[i])
-                trajs[i].steps.append(env.StepRecord(
-                    t=states[i].t - 1, vehicle=veh, action=a,
-                    fuel_after=float(states[i].fuels[veh]),
-                    logprob=float(logp.values[i, a]),
-                    entropy=float(ent.values[i])))
-                if a == 0:
-                    open_rows[i] = False
-                else:
-                    routes[i][veh].append(a)
-                if mode == "replay":
-                    forced_ptr[i] += 1
+            state = env.step(state, actions, open_rows)
+            record.append(np.where(open_rows, actions, -1))
+            open_rows &= actions != 0
             dec.advance(actions)
 
-    rewards = np.array([st.collected.sum() for st in states])
-    for i in range(b):
-        trajs[i].routes = tuple(tuple(r) for r in routes[i])
-        trajs[i].reward = float(rewards[i])
     return BatchRollout(
-        trajectories=trajs,
-        rewards=rewards,
+        orders=state.orders,
+        actions=np.stack(record, axis=1),
+        rewards=state.collected.sum(axis=1),
         logp_sum=logp_acc,
         entropy_sum=ent_acc,
         mean_step_entropy=ent_value_total / max(alive_steps, 1),
@@ -483,4 +452,4 @@ def rollout(inst: Instance, order, params: DdtmParameters, cfg: DdtmConfig,
     """
     rng = np.random.default_rng(seed) if mode == "sample" else None
     batch = rollout_states([inst], [tuple(order)], params, cfg, mode=mode, rng=rng)
-    return batch.trajectories[0]
+    return batch.trajectory(0)

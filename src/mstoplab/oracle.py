@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import env
 from .env import EPS
 from .instances import Instance, euclidean
 
@@ -35,30 +36,6 @@ class Solution:
     objective: float
     optimal: bool
     expansions: int = 0
-
-    def visit_matrix(self, inst: Instance) -> np.ndarray:
-        """Incidence view: entry [k, i] is True iff vehicle k visits node i (0 = depot)."""
-        y = np.zeros((inst.k, inst.n + 1), dtype=bool)
-        y[:, 0] = True
-        for k, route in enumerate(self.routes):
-            for c in route:
-                y[k, c] = True
-        return y
-
-    def arcs(self, inst: Instance):
-        """Arc-usage view: per vehicle, the traversed (from, to) node references."""
-        out = []
-        for k, route in enumerate(self.routes):
-            refs = [inst.n + 1 + k] + list(route) + [0]
-            out.append(tuple(zip(refs[:-1], refs[1:])))
-        return out
-
-    def route_lengths(self, inst: Instance):
-        lengths = []
-        for k, route in enumerate(self.routes):
-            pts = [inst.point(inst.n + 1 + k)] + [inst.point(c) for c in route] + [inst.depot]
-            lengths.append(float(sum(euclidean(a, b) for a, b in zip(pts[:-1], pts[1:]))))
-        return lengths
 
 
 @dataclass(frozen=True)
@@ -302,51 +279,37 @@ def tsili_solve(inst: Instance, params: TsiliParams = TsiliParams(), seed: int =
     """
     params.validate()
     rng = np.random.default_rng(seed)
-    n, k_veh = inst.n, inst.k
-    prizes = inst.prizes()
-    cxy = inst.customer_xy()
-    depot = np.array(inst.depot)
-    dret = np.hypot(cxy[:, 0] - depot[0], cxy[:, 1] - depot[1])
     s = params.samples
-    c = min(params.candidates, n)
+    c = min(params.candidates, inst.n)
+    prizes = inst.prizes()
+    state = env.reset([inst] * s, np.tile(np.arange(inst.k), (s, 1)))
+    record = []                              # (s,) actions per step, -1 = row idle
 
-    visited = np.zeros((s, n), dtype=bool)
-    collected = np.zeros(s)
-    picks = [[] for _ in range(k_veh)]       # per vehicle: list of (s,) chosen columns, -1 = idle
-
-    for k in range(k_veh):
-        pos = np.tile(inst.vehicle_xy()[k], (s, 1))
-        fuel = np.full(s, inst.fuels()[k])
-        alive = np.ones(s, dtype=bool)
-        while True:
-            dists = np.hypot(cxy[None, :, 0] - pos[:, :1], cxy[None, :, 1] - pos[:, 1:2])
-            feas = (~visited) & (dists + dret[None, :] <= fuel[:, None] + EPS) & alive[:, None]
+    for _ in range(inst.k):
+        open_rows = np.ones(s, dtype=bool)
+        while open_rows.any():
+            feas = env.feasible_mask(state, open_rows)[:, 1:]
             alive = feas.any(axis=1)
-            if not alive.any():
-                break
-            desir = np.where(feas, (prizes[None, :] / np.maximum(dists, _TINY)) ** params.exponent, 0.0)
-            order = np.argsort(-desir, axis=1, kind="stable")[:, :c]
-            weights = np.take_along_axis(desir, order, axis=1)
-            totals = weights.sum(axis=1, keepdims=True)
-            probs = np.divide(weights, totals, out=np.zeros_like(weights), where=totals > 0)
-            cum = np.cumsum(probs, axis=1)
-            u = rng.random(s)
-            pick_pos = (u[:, None] > cum).sum(axis=1)
-            last_ok = np.maximum((weights > 0).sum(axis=1) - 1, 0)
-            pick_pos = np.minimum(pick_pos, last_ok)
-            chosen = np.take_along_axis(order, pick_pos[:, None], axis=1)[:, 0]
-            chosen = np.where(alive, chosen, -1)
-            rows = np.nonzero(alive)[0]
-            cols = chosen[rows]
-            visited[rows, cols] = True
-            collected[rows] += prizes[cols]
-            fuel[rows] -= dists[rows, cols]
-            pos[rows] = cxy[cols]
-            picks[k].append(chosen)
+            actions = np.zeros(s, dtype=np.intp)   # no feasible customer: go home
+            if alive.any():
+                desir = (prizes[None, :] / np.maximum(state.legs[:, 1:], _TINY)) ** params.exponent
+                desir = np.where(feas, desir, 0.0)
+                order = np.argsort(-desir, axis=1, kind="stable")[:, :c]
+                weights = np.take_along_axis(desir, order, axis=1)
+                totals = weights.sum(axis=1, keepdims=True)
+                probs = np.divide(weights, totals, out=np.zeros_like(weights), where=totals > 0)
+                cum = np.cumsum(probs, axis=1)
+                u = rng.random(s)
+                pick_pos = (u[:, None] > cum).sum(axis=1)
+                last_ok = np.maximum((weights > 0).sum(axis=1) - 1, 0)
+                pick_pos = np.minimum(pick_pos, last_ok)
+                chosen = np.take_along_axis(order, pick_pos[:, None], axis=1)[:, 0]
+                actions = np.where(alive, chosen + 1, 0)
+            state = env.step(state, actions, open_rows)
+            record.append(np.where(open_rows, actions, -1))
+            open_rows &= actions != 0
 
-    best_row = int(np.argmax(collected))
-    routes = []
-    for k in range(k_veh):
-        route = [int(step[best_row]) + 1 for step in picks[k] if step[best_row] >= 0]
-        routes.append(tuple(route))
-    return Solution(routes=tuple(routes), objective=float(collected[best_row]), optimal=False)
+    rewards = state.collected.sum(axis=1)
+    best = int(np.argmax(rewards))
+    traj = env.Trajectory.of_row(state.orders[best], np.stack(record)[:, best], rewards[best])
+    return Solution(routes=traj.routes, objective=traj.reward, optimal=False)

@@ -125,10 +125,7 @@ def test_criterion_3_gradient_suite(rng):
          {"input_filter": lambda a: [np.where(np.abs(x) < 0.05, 0.5, x) for x in a]}),
         ("tanh", lambda l: ad.tanh(l[0]), [(5, 5)], {}),
         ("exp", lambda l: ad.exp(l[0]), [(5, 5)], {}),
-        ("log", lambda l: ad.log(l[0]), [(5, 5)],
-         {"input_filter": lambda a: [np.abs(x) + 0.1 for x in a]}),
         ("sum", lambda l: ad.tsum(l[0], axis=1, keepdims=True), [(3, 4, 5)], {}),
-        ("mean", lambda l: ad.tmean(l[0], axis=0), [(6, 4)], {}),
         ("batchnorm-train", lambda l: ad.batchnorm(l[0], rm, rv, training=True),
          [(6, 3, 5)], {}),
         ("batchnorm-eval", lambda l: ad.batchnorm(l[0], rm, rv, training=False),
@@ -141,6 +138,8 @@ def test_criterion_3_gradient_suite(rng):
         ("gather_last", lambda l: ad.gather_last(l[0], np.array([[1, 0], [3, 2]])),
          [(2, 2, 5)], {}),
     ]
+    covered = {name.split("-")[0] for name, _, _, _ in kinds}
+    assert covered == set(ad.OP_KINDS), covered ^ set(ad.OP_KINDS)
     for name, builder, shapes, kw in kinds:
         check_op_gradients(builder, shapes, rng, probes=100, tol=1e-4, **kw)
 
@@ -155,7 +154,7 @@ def test_criterion_3_gradient_suite(rng):
     orders = [(0, 1)] * 8 + [(1, 0)] * 8
     seed_roll = mdl.rollout_states(instances, orders, params, cfg, mode="sample",
                                    rng=np.random.default_rng(0))
-    actions = [[s.action for s in t.steps] for t in seed_roll.trajectories]
+    actions = seed_roll.actions
     rewards = seed_roll.rewards.reshape(2, 8)
     advantages = (rewards - rewards.mean(axis=1, keepdims=True)).reshape(-1)
     alpha = 0.01
@@ -180,7 +179,8 @@ def test_criterion_3_gradient_suite(rng):
     assert worst <= 1e-4, f"full-loss probe mismatch {worst:.3e}"
     dt = time.perf_counter() - t0
     assert dt < 120.0
-    ok(3, f"{len(kinds)} kinds x 100 probes + 100 full-loss probes, "
+    ok(3, f"all {len(covered)} op kinds ({len(kinds)} constructions) x 100 probes "
+          f"+ 100 full-loss probes, "
           f"worst full-loss rel err {worst:.2e} ({dt:.1f}s)")
 
 
@@ -197,14 +197,13 @@ def test_criterion_4_augmentation_invariance(rng):
         refs = list(range(inst.n + inst.k + 1))
         base_obj = solve_exact(inst).objective
         traj = mdl.rollout(inst, (0, 1), policy, TINY_MODEL, mode="greedy")
-        actions = [s.action for s in traj.steps]
         for s in range(8):
             aug = apply_symmetry(inst, s)
             for a in refs:
                 for b in refs[a + 1:]:
                     assert abs(distance(aug, a, b) - distance(inst, a, b)) <= 1e-12
             assert abs(solve_exact(aug).objective - base_obj) <= 1e-9
-            assert env.replay(aug, (0, 1), actions).reward == traj.reward
+            assert env.replay(aug, (0, 1), traj.actions).reward == traj.reward
     dt = time.perf_counter() - t0
     ok(4, f"isometry (1e-12), exact-optimum (1e-9), and replay-reward "
           f"invariance on 100 instances x 8 maps ({dt:.1f}s)")

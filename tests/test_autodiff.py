@@ -129,9 +129,6 @@ def test_gradients_all_kinds(rng):
     mask = _mask_for((4, 6), rng)
     rm, rv = np.zeros(5), np.ones(5)
 
-    def keep_positive(arrays):
-        return [np.abs(a) + 0.1 for a in arrays]
-
     def away_from_kink(arrays):
         return [np.where(np.abs(a) < 0.05, 0.5, a) for a in arrays]
 
@@ -152,10 +149,8 @@ def test_gradients_all_kinds(rng):
         ("relu", lambda l: ad.relu(l[0]), [(5, 5)], {"input_filter": away_from_kink}),
         ("tanh", lambda l: ad.tanh(l[0]), [(5, 5)], {}),
         ("exp", lambda l: ad.exp(l[0]), [(5, 5)], {}),
-        ("log", lambda l: ad.log(l[0]), [(5, 5)], {"input_filter": keep_positive}),
         ("sum", lambda l: ad.tsum(l[0], axis=1, keepdims=True), [(3, 4, 5)], {}),
         ("sum-all", lambda l: ad.tsum(l[0]), [(4, 4)], {}),
-        ("mean", lambda l: ad.tmean(l[0], axis=0), [(6, 4)], {}),
         ("batchnorm-train", lambda l: ad.batchnorm(l[0], rm, rv, training=True), [(6, 3, 5)], {}),
         ("batchnorm-eval", lambda l: ad.batchnorm(l[0], rm, rv, training=False), [(6, 3, 5)], {}),
         ("reshape", lambda l: ad.reshape(l[0], (2, 10)), [(4, 5)], {}),
@@ -199,16 +194,6 @@ def test_batchnorm_single_sample_falls_back_to_running_stats():
     y = ad.batchnorm(ad.constant([[3.0]]), rm, rv, training=True, update_stats=True).values
     assert np.allclose(y, (3.0 - 1.0) / np.sqrt(4.0 + 1e-5), atol=1e-12)
     assert rm[0] == 1.0 and rv[0] == 4.0  # no update on the fallback path
-
-
-def test_log_saturates_at_zero():
-    out = ad.log(ad.constant([0.0, 1.0]))
-    assert np.isfinite(out.values).all()
-    tape = ad.Tape()
-    x = tape.leaf([0.0, 2.0])
-    loss = ad.tsum(ad.log(x))
-    g = tape.backward(loss).of(x)
-    assert g[0] == 0.0 and abs(g[1] - 0.5) < 1e-12
 
 
 # --- determinism ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -203,6 +204,25 @@ def test_eval_checkpoint_shape_mismatch_reports_both(tmp_path, dataset_dir, trai
     assert code == 1
     err = capsys.readouterr().err
     assert "(2, 16)" in err and "(2, 32)" in err
+
+
+def test_eval_refuses_budget_truncated_exact_reference(tmp_path, dataset_dir, trained_dir,
+                                                      capsys, monkeypatch):
+    from mstoplab import cli
+    real = cli.solve_exact
+
+    def cut_short(inst):
+        sol = real(inst)
+        return dataclasses.replace(sol, optimal=False)
+
+    monkeypatch.setattr(cli, "solve_exact", cut_short)
+    code = run_cli(["eval", "--dataset", str(dataset_dir / "dataset.jsonl"),
+                    "--checkpoint", str(trained_dir / "best.ckpt"), "--strategies", "greedy",
+                    "--d", "16", "--heads", "2", "--ff-dim", "32", "--enc-layers", "1",
+                    "--out", str(tmp_path / "cut")])
+    assert code == 2
+    assert "instance 0" in capsys.readouterr().err
+    assert not (tmp_path / "cut" / "summary.csv").exists()
 
 
 # --- harness plumbing ---------------------------------------------------------------

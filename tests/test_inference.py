@@ -96,8 +96,7 @@ def test_augmented_replay_reward_identical(params):
     for s in range(8):
         aug = apply_symmetry(inst, s)
         traj = rollout(aug, (1, 0), params, CFG, mode="greedy")
-        actions = [st.action for st in traj.steps]
-        replayed = env.replay(inst, (1, 0), actions)
+        replayed = env.replay(inst, (1, 0), traj.actions)
         assert replayed.reward == traj.reward
 
 

@@ -56,6 +56,14 @@ def test_from_arrays_shape_mismatch_reports_both_shapes(params):
     assert str((CFG.d, CFG.d + 1)) in str(err.value) and str((CFG.d, CFG.d)) in str(err.value)
 
 
+def test_from_arrays_rejects_arrays_the_config_does_not_name(params):
+    deeper = DdtmParameters.init(dataclasses.replace(CFG, encoder_layers=3), seed=7)
+    with pytest.raises(ValueError) as err:
+        DdtmParameters.from_arrays(CFG, dict(deeper.arrays))
+    extra = sorted(set(deeper.keys()) - set(params.keys()))
+    assert len(extra) == 10 and str(extra) in str(err.value)
+
+
 def test_init_deterministic():
     a = DdtmParameters.init(CFG, seed=3)
     b = DdtmParameters.init(CFG, seed=3)
@@ -116,11 +124,11 @@ def test_visited_coordinates_do_not_leak(params):
     """Changing a visited customer's coordinates must not change anything."""
     inst = generous_instance(n=4, k=2)
     st = env.reset(inst, (0, 1))
-    st = env.step(st, 2)
+    st = env.step(env.step(st, 2), 1)   # customer 2 visited, vehicle 0 now at customer 1
     customers = list(inst.customers)
     customers[1] = (0.99, 0.01, customers[1][2])  # customer 2, already visited
     moved = dataclasses.replace(inst, customers=tuple(customers))
-    st_moved = dataclasses.replace(st, instance=moved)
+    st_moved = dataclasses.replace(st, batch=env.Batch([moved]))
 
     emb_a = encode(st, params, CFG)
     emb_b = encode(st_moved, params, CFG)
@@ -174,7 +182,7 @@ def test_greedy_rollout_deterministic(params):
     a = rollout(inst, (0, 1), params, CFG, mode="greedy")
     b = rollout(inst, (0, 1), params, CFG, mode="greedy")
     assert a.routes == b.routes and a.reward == b.reward
-    assert [s.action for s in a.steps] == [s.action for s in b.steps]
+    assert a.actions == b.actions
 
 
 def test_sample_rollout_seed_contract(params):
@@ -200,9 +208,8 @@ def test_rollout_reward_bounded_by_exact(params):
 def test_rollout_routes_end_at_depot_and_respect_budget(params):
     inst = tiny_instance(seed=21)
     traj = rollout(inst, (1, 0), params, CFG, mode="sample", seed=3)
-    assert traj.steps[-1].action == 0
-    depot_steps = [s for s in traj.steps if s.action == 0]
-    assert len(depot_steps) == inst.k
+    assert traj.actions[-1] == 0
+    assert traj.actions.count(0) == inst.k
     for k, route in enumerate(traj.routes):
         assert all(1 <= c <= inst.n for c in route)
 
@@ -210,18 +217,18 @@ def test_rollout_routes_end_at_depot_and_respect_budget(params):
 def test_trajectory_log_prob_matches_forced_replay(params):
     inst = generous_instance(n=5, k=2)
     traj = rollout(inst, (0, 1), params, CFG, mode="sample", seed=13)
-    actions = [s.action for s in traj.steps]
     batch = mdl.rollout_states([inst], [(0, 1)], params, CFG,
-                               mode="replay", forced_actions=[actions])
-    assert batch.trajectories[0].routes == traj.routes
-    assert abs(batch.trajectories[0].log_prob - traj.log_prob) <= 1e-9
+                               mode="replay", forced_actions=[traj.actions])
+    assert batch.trajectory(0).routes == traj.routes
+    assert abs(batch.trajectory(0).log_prob - traj.log_prob) <= 1e-9
 
 
 def test_batched_rollout_matches_single(params):
     insts = [tiny_instance(seed=s) for s in (31, 32, 33)]
     orders = [(0, 1), (1, 0), (0, 1)]
     batch = mdl.rollout_states(insts, orders, params, CFG, mode="greedy")
-    for inst, order, traj in zip(insts, orders, batch.trajectories):
+    for i, (inst, order) in enumerate(zip(insts, orders)):
+        traj = batch.trajectory(i)
         single = rollout(inst, order, params, CFG, mode="greedy")
         assert single.routes == traj.routes
         assert abs(single.reward - traj.reward) <= 1e-12

@@ -131,18 +131,6 @@ def test_verify_flags_route_count_and_objective():
     assert report.objective_recomputed == 1.0
 
 
-def test_solution_views():
-    inst = generous_instance(n=3, k=2)
-    sol = Solution(routes=((2,), (1, 3)), objective=3.0, optimal=True)
-    y = sol.visit_matrix(inst)
-    assert y[0, 2] and y[1, 1] and y[1, 3] and not y[0, 1]
-    arcs = sol.arcs(inst)
-    assert arcs[0] == ((inst.n + 1, 2), (2, 0))
-    assert arcs[1][0] == (inst.n + 2, 1) and arcs[1][-1] == (3, 0)
-    lengths = sol.route_lengths(inst)
-    assert all(length > 0 for length in lengths)
-
-
 # --- stochastic heuristic ------------------------------------------------------------
 
 def test_tsili_candidate_set_one_is_greedy_deterministic():

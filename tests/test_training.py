@@ -156,7 +156,7 @@ def test_entropy_term_gradient_matches_finite_differences():
     orders = [(0, 1), (1, 0)]
     seed_roll = mdl.rollout_states(instances, orders, params, CFG,
                                    mode="sample", rng=np.random.default_rng(0))
-    actions = [[s.action for s in t.steps] for t in seed_roll.trajectories]
+    actions = seed_roll.actions
     advantages = np.zeros(len(instances))
 
     def loss_value():
@@ -249,9 +249,8 @@ def test_entropy_pressure_increases_probe_entropy():
 
     probe_instances = [generate(dataclasses.replace(GEN, seed=9100 + i)) for i in range(4)]
     probe_orders = [(0, 1)] * 4
-    probe_actions = [[s.action for s in t.steps] for t in
-                     mdl.rollout_states(probe_instances, probe_orders, params, CFG,
-                                        mode="greedy").trajectories]
+    probe_actions = mdl.rollout_states(probe_instances, probe_orders, params, CFG,
+                                       mode="greedy").actions
 
     def probe_rollout(tape=None):
         return mdl.rollout_states(probe_instances, probe_orders, params, CFG,
