@@ -5,7 +5,7 @@ Run:  python3 demos/01_instances_and_symmetry.py
 
 import numpy as np
 
-from mstoplab import GenConfig, augment, distance, generate
+from mstoplab import GenConfig, augment, euclidean, generate
 
 cfg = GenConfig.preset("mstop10", prize_mode="uniform", seed=42)
 inst = generate(cfg)
@@ -13,7 +13,7 @@ inst = generate(cfg)
 print(f"instance: n={inst.n} customers, K={inst.k} vehicles, T_max={inst.t_max}")
 print(f"depot at {inst.depot}")
 for k, (x, y, fuel) in enumerate(inst.vehicles):
-    back = distance(inst, 0, inst.n + 1 + k)
+    back = euclidean(inst.depot, (x, y))
     print(f"  vehicle {k}: start ({x:.3f}, {y:.3f}), fuel {fuel:.3f} "
           f"(needs {back:.3f} just to reach the depot)")
 print("first three customers (x, y, prize):")
@@ -28,7 +28,8 @@ for s, aug in enumerate(copies):
     errs = []
     for _ in range(200):
         i, j = rng.choice(refs, size=2, replace=False)
-        errs.append(abs(distance(aug, i, j) - distance(inst, i, j)))
+        moved = euclidean(aug.point(i), aug.point(j))
+        errs.append(abs(moved - euclidean(inst.point(i), inst.point(j))))
     print(f"  symmetry {s}: depot -> {tuple(round(v, 3) for v in aug.depot)}, "
           f"max distance drift {max(errs):.2e}")
 

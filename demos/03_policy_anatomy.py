@@ -8,21 +8,23 @@ import numpy as np
 from mstoplab import DdtmConfig, DdtmParameters, GenConfig, generate
 from mstoplab import env
 from mstoplab import model as mdl
+from mstoplab.autodiff import NEG_INF
 
 cfg = DdtmConfig()  # desk scale: d=32, 4 heads, 2 encoder layers, 1 decoder layer
 params = DdtmParameters.init(cfg, seed=0)
 inst = generate(GenConfig(n=6, k=2, t_max=1.5, seed=5))
 
 state = env.reset(inst, (0, 1))
-emb = mdl.encode(state, params, cfg)
+emb = mdl.encode_states(state, params, cfg)
 print(f"encoder rows: {emb.rows.shape}  (depot + {inst.n} customers + {inst.k} vehicles, width {cfg.d})")
 print(f"graph embedding: {emb.graph.shape}  (mean of the unmasked rows)")
 
-dec = mdl.start_route(emb, state, params, cfg)
+dec = mdl.RouteDecoder(emb, params, cfg, state.active_vehicle)
 print("\ndecoding vehicle 0's route with an untrained network:")
 while True:
-    probs = mdl.decode_step(dec, state)
     feas = env.feasible_mask(state)
+    logp = dec.step(state.fuel, np.where(feas, 0.0, NEG_INF)[None])   # one row, masked
+    probs = np.exp(logp.values[0])
     action = int(np.argmax(probs))
     line = "  ".join(f"{p:.3f}" if f else "  -  " for p, f in zip(probs, feas))
     print(f"  t_dec={dec.t_dec}  P(depot, customers...) = [{line}] -> action {action}")
@@ -35,8 +37,9 @@ while True:
 
 print("\nfull greedy and sampled rollouts under both vehicle orders:")
 for order in ((0, 1), (1, 0)):
-    greedy = mdl.rollout(inst, order, params, cfg, mode="greedy")
-    sampled = mdl.rollout(inst, order, params, cfg, mode="sample", seed=11)
+    greedy = mdl.rollout_states([inst], [order], params, cfg, mode="greedy").trajectory(0)
+    sampled = mdl.rollout_states([inst], [order], params, cfg, mode="sample",
+                                 rng=np.random.default_rng(11)).trajectory(0)
     print(f"  order {order}: greedy reward {greedy.reward:.0f} routes {greedy.routes}; "
           f"sampled reward {sampled.reward:.0f} (log-prob {sampled.log_prob:.2f})")
 print("\nthe order matters: each vehicle finishes before the next starts, and the")

@@ -2,8 +2,8 @@
 
 Eight symmetric copies of each instance are rolled out; their mean reward is
 the per-instance baseline, so the model competes against itself across eight
-views of the same graph while consuming 8x fewer raw instances. Takes a couple
-of minutes on a laptop core.
+views of the same graph while consuming 8x fewer raw instances. Takes about
+half a minute on one core.
 
 Run:  python3 demos/04_train_tiny.py
 """

@@ -9,7 +9,8 @@ can only go up along the chain. Run:  python3 demos/05_inference_strategies.py
 import numpy as np
 
 from mstoplab import DdtmConfig, DdtmParameters, GenConfig, generate
-from mstoplab.inference import InferConfig, dominance_check, infer
+from mstoplab.inference import InferConfig, infer
+from mstoplab.model import rollout_states
 from mstoplab.oracle import solve_exact
 
 cfg = DdtmConfig()
@@ -28,14 +29,14 @@ print("\nthe dominance chain holds on every instance, trained or not:")
 ok = 0
 for seed in range(100):
     inst = generate(GenConfig(n=6, k=2, t_max=1.5, prize_mode="uniform", seed=seed))
-    g, p, a = dominance_check(inst, params, cfg)
+    g, p, a = (infer(inst, params, cfg, InferConfig(strategy=s))[0].objective
+               for s in ("greedy", "perm", "perm-aug"))
     ok += (a >= p >= g)
 print(f"  perm-aug >= perm >= greedy on {ok}/100 instances")
 
 print("\nwhy permutations matter: the two vehicle orders can find different tours,")
 print("because the first vehicle commits to its whole route before the second starts:")
 inst = generate(GenConfig(n=6, k=2, t_max=1.5, seed=4))
-from mstoplab.model import rollout
 for order in ((0, 1), (1, 0)):
-    traj = rollout(inst, order, params, cfg, mode="greedy")
+    traj = rollout_states([inst], [order], params, cfg, mode="greedy").trajectory(0)
     print(f"  order {order}: reward {traj.reward:.0f}, routes {traj.routes}")

@@ -12,10 +12,10 @@ __version__ = "0.1.0"
 
 from .autodiff import Tape, Tensor, constant, forward
 from .env import State, Trajectory, feasible_mask, replay, reset, step
-from .inference import InferConfig, dominance_check, infer
-from .instances import (GenConfig, Instance, augment, distance, generate,
+from .inference import InferConfig, infer
+from .instances import (GenConfig, Instance, augment, euclidean, generate,
                         generate_many, load_dataset, save_dataset)
-from .model import DdtmConfig, DdtmParameters, decode_step, encode, rollout
+from .model import DdtmConfig, DdtmParameters
 from .optim import AdamState, adam_step
 from .oracle import (Solution, TsiliParams, brute_force_enum, solve_exact,
                      tsili_solve, verify)
@@ -24,10 +24,10 @@ from .training import EpochReport, TrainConfig, reinforce_step, train
 __all__ = [
     "Tape", "Tensor", "constant", "forward",
     "State", "Trajectory", "feasible_mask", "replay", "reset", "step",
-    "InferConfig", "dominance_check", "infer",
-    "GenConfig", "Instance", "augment", "distance", "generate", "generate_many",
+    "InferConfig", "infer",
+    "GenConfig", "Instance", "augment", "euclidean", "generate", "generate_many",
     "load_dataset", "save_dataset",
-    "DdtmConfig", "DdtmParameters", "decode_step", "encode", "rollout",
+    "DdtmConfig", "DdtmParameters",
     "AdamState", "adam_step",
     "Solution", "TsiliParams", "brute_force_enum", "solve_exact", "tsili_solve", "verify",
     "EpochReport", "TrainConfig", "reinforce_step", "train",

@@ -55,9 +55,6 @@ class Tensor:
     def ndim(self):
         return self.values.ndim
 
-    def item(self):
-        return float(self.values.reshape(-1)[0])
-
     def __repr__(self):
         tag = "const" if self.node_id is None else f"node {self.node_id}"
         return f"Tensor(shape={self.values.shape}, {tag})"

@@ -16,6 +16,8 @@ Scalars are stored as rank-0 blocks.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -58,26 +60,41 @@ def _read_block(fh):
     return name, arr
 
 
+def _write_checkpoint(fh, params: dict, adam: AdamState | None):
+    fh.write(MAGIC)
+    fh.write(struct.pack("<I", FORMAT_VERSION))
+    fh.write(struct.pack("<I", len(params)))
+    for name in sorted(params):
+        _write_block(fh, name, np.asarray(params[name], dtype=np.float64))
+    if adam is None:
+        fh.write(struct.pack("<I", 0))
+        return
+    blocks = [("step", np.float64(adam.step)), ("lr", np.float64(adam.lr)),
+              ("beta1", np.float64(adam.beta1)), ("beta2", np.float64(adam.beta2)),
+              ("eps", np.float64(adam.eps))]
+    for name in sorted(adam.m):
+        blocks.append((f"m:{name}", adam.m[name]))
+        blocks.append((f"v:{name}", adam.v[name]))
+    fh.write(struct.pack("<I", len(blocks)))
+    for name, arr in blocks:
+        _write_block(fh, name, np.asarray(arr, dtype=np.float64))
+
+
 def save_checkpoint(path, params: dict, adam: AdamState | None = None):
-    """Write named arrays (and optional Adam state) to ``path``."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(params)))
-        for name in sorted(params):
-            _write_block(fh, name, np.asarray(params[name], dtype=np.float64))
-        if adam is None:
-            fh.write(struct.pack("<I", 0))
-            return
-        blocks = [("step", np.float64(adam.step)), ("lr", np.float64(adam.lr)),
-                  ("beta1", np.float64(adam.beta1)), ("beta2", np.float64(adam.beta2)),
-                  ("eps", np.float64(adam.eps))]
-        for name in sorted(adam.m):
-            blocks.append((f"m:{name}", adam.m[name]))
-            blocks.append((f"v:{name}", adam.v[name]))
-        fh.write(struct.pack("<I", len(blocks)))
-        for name, arr in blocks:
-            _write_block(fh, name, np.asarray(arr, dtype=np.float64))
+    """Write named arrays (and optional Adam state) to ``path``.
+
+    The bytes go to ``<path>.tmp`` first, which then replaces ``path`` in one
+    step, so a write that fails partway leaves the previous file intact.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            _write_checkpoint(fh, params, adam)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

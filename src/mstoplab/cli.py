@@ -200,7 +200,7 @@ def cmd_train(args) -> int:
     model_cfg = _model_config(args)
     train_cfg = TrainConfig(
         epochs=args.epochs, steps_per_epoch=args.steps, batch=args.batch,
-        k_aug=args.k_aug, alpha=args.alpha, baseline=args.baseline, lr=args.lr,
+        alpha=args.alpha, baseline=args.baseline, lr=args.lr,
         clip_norm=args.clip_norm, validation_size=args.val_size,
         seed_data=args.seed_data, seed_model=args.seed_model, seed_rollout=args.seed_rollout,
     )
@@ -228,8 +228,7 @@ def cmd_train(args) -> int:
               f"baseline {report.baseline_value:.4f}  entropy {report.entropy:.4f}  "
               f"val {report.val_score:.4f}  ({report.wall_time:.1f}s)")
 
-    _, reports = train(None, model_cfg, train_cfg, gen_cfg=gen_cfg,
-                       checkpoint_dir=out, progress=progress)
+    _, reports = train(None, model_cfg, train_cfg, gen_cfg, checkpoint_dir=out, progress=progress)
     with open(os.path.join(out, "metrics.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(metrics_rows(reports)) + "\n")
     with open(os.path.join(out, "timings.csv"), "w", encoding="utf-8") as fh:
@@ -242,21 +241,35 @@ def cmd_train(args) -> int:
 
 # --- eval --------------------------------------------------------------------
 
+def _infer_configs(args) -> dict:
+    """Strategy -> InferConfig for ``--strategies``: a non-empty list of
+    known strategies, each named once."""
+    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    if not strategies:
+        raise UsageError("--strategies names no strategy")
+    if len(set(strategies)) < len(strategies):
+        raise UsageError(f"--strategies names a strategy twice: {','.join(strategies)}")
+    configs = {s: InferConfig(strategy=s, sample_width=args.sample_width, seed=args.seed)
+               for s in strategies}
+    for icfg in configs.values():
+        icfg.validate()
+    return configs
+
+
 def cmd_eval(args) -> int:
+    configs = _infer_configs(args)
+    strategies = list(configs)
     instances = load_dataset(args.dataset)
     if not instances:
         raise UsageError(f"dataset {args.dataset} is empty")
     model_cfg = _model_config(args)
     arrays, _ = load_checkpoint(args.checkpoint)
     params = DdtmParameters.from_arrays(model_cfg, arrays)
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     out = _out_dir(args.out)
 
     per_strategy = {}
     times = {}
-    for strategy in strategies:
-        icfg = InferConfig(strategy=strategy, sample_width=args.sample_width, seed=args.seed)
-        icfg.validate()
+    for strategy, icfg in configs.items():
         t0 = time.perf_counter()
         rows = []
         for i, inst in enumerate(instances):
@@ -356,8 +369,6 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--k-aug", type=int, default=None,
-                   help="augmentation factor (default: 8 for instance-aug, else 1)")
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--baseline", choices=("batch-mean", "greedy-rollout", "instance-aug"),
                    default="instance-aug")
@@ -412,8 +423,6 @@ def main(argv=None) -> int:
             rest = [command] + _config_tokens(known.config, command) + rest[1:]
         parser = build_parser()
         args = parser.parse_args((["--config", known.config] if known.config else []) + rest)
-        if args.command == "train" and args.k_aug is None:
-            args.k_aug = 8 if args.baseline == "instance-aug" else 1
         return args.func(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

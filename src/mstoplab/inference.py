@@ -13,7 +13,7 @@ untransformed geometry.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class InferConfig:
     strategy: str = "greedy"
     sample_width: int = 1280
     seed: int = 0
-    include_greedy: bool = True      # union the greedy trajectory into the sampling pool
 
     def validate(self):
         if self.strategy not in STRATEGIES:
@@ -47,15 +46,11 @@ class InferConfig:
 @dataclass
 class TrajectoryCensus:
     strategy: str
-    entries: list = field(default_factory=list)   # (label, reward) in evaluation order
+    rewards: np.ndarray              # reward of every trajectory, in evaluation order
 
     @property
     def count(self):
-        return len(self.entries)
-
-    @property
-    def rewards(self):
-        return np.array([r for _, r in self.entries])
+        return len(self.rewards)
 
 
 def _greedy(instances, orders, params, cfg) -> mdl.BatchRollout:
@@ -70,26 +65,23 @@ def infer(inst: Instance, params: DdtmParameters, cfg: DdtmConfig,
     identity = tuple(range(inst.k))
     perms = list(itertools.permutations(range(inst.k)))
 
-    # labels and rewards in evaluation order, and the trajectory of entry i
+    # rewards in evaluation order, and the trajectory of entry i
     if infer_cfg.strategy == "greedy":
         roll = _greedy([inst], [identity], params, cfg)
-        labels, rewards, trajectory = ["greedy"], roll.rewards, roll.trajectory
+        rewards, trajectory = roll.rewards, roll.trajectory
 
     elif infer_cfg.strategy == "sampling":
+        # the greedy trajectory comes first, so sampling never falls below greedy
         width = infer_cfg.sample_width
         roll = mdl.rollout_states([inst] * width, [identity] * width, params, cfg,
                                   mode="sample", rng=np.random.default_rng(infer_cfg.seed))
-        labels = [f"sample{i}" for i in range(width)]
-        rewards, trajectory = roll.rewards, roll.trajectory
-        if infer_cfg.include_greedy:
-            greedy = _greedy([inst], [identity], params, cfg)
-            labels = ["greedy"] + labels
-            rewards = np.concatenate([greedy.rewards, rewards])
-            trajectory = lambda i: greedy.trajectory(0) if i == 0 else roll.trajectory(i - 1)
+        greedy = _greedy([inst], [identity], params, cfg)
+        rewards = np.concatenate([greedy.rewards, roll.rewards])
+        trajectory = lambda i: greedy.trajectory(0) if i == 0 else roll.trajectory(i - 1)
 
     elif infer_cfg.strategy == "perm":
         roll = _greedy([inst] * len(perms), perms, params, cfg)
-        labels, rewards, trajectory = [f"order={p}" for p in perms], roll.rewards, roll.trajectory
+        rewards, trajectory = roll.rewards, roll.trajectory
 
     else:  # perm-aug
         variants = [(p, s) for p in perms for s in range(N_SYMMETRIES)]
@@ -97,26 +89,12 @@ def infer(inst: Instance, params: DdtmParameters, cfg: DdtmConfig,
         roll = _greedy([apply_symmetry(inst, s) for _, s in variants], orders, params, cfg)
         # decode ran on transformed coordinates; score on the original
         replayed = env.replay([inst] * len(variants), orders, roll.actions)
-        labels = [f"order={p} sym={s}" for p, s in variants]
-        rewards, trajectory = [t.reward for t in replayed], replayed.__getitem__
+        rewards, trajectory = np.array([t.reward for t in replayed]), replayed.__getitem__
 
-    entries = [(label, float(r)) for label, r in zip(labels, rewards)]
     best = trajectory(int(np.argmax(rewards)))   # first best: ties keep the earlier entry
-    census = TrajectoryCensus(strategy=infer_cfg.strategy, entries=entries)
+    census = TrajectoryCensus(strategy=infer_cfg.strategy, rewards=rewards)
     solution = Solution(routes=best.routes, objective=best.reward, optimal=False)
     report = verify(inst, solution)
     if not report.ok:
         raise InferenceError(f"inference produced an invalid solution: {report.first_violation}")
     return solution, census
-
-
-def dominance_check(inst: Instance, params: DdtmParameters, cfg: DdtmConfig) -> tuple:
-    """Best-of rewards for (greedy, perm, perm-aug); asserts the deterministic
-    containment ordering reward(perm-aug) >= reward(perm) >= reward(greedy)."""
-    greedy_sol, _ = infer(inst, params, cfg, InferConfig(strategy="greedy"))
-    perm_sol, _ = infer(inst, params, cfg, InferConfig(strategy="perm"))
-    aug_sol, _ = infer(inst, params, cfg, InferConfig(strategy="perm-aug"))
-    rewards = (greedy_sol.objective, perm_sol.objective, aug_sol.objective)
-    if not (rewards[2] >= rewards[1] >= rewards[0]):
-        raise InferenceError(f"strategy dominance violated: greedy/perm/perm-aug = {rewards}")
-    return rewards

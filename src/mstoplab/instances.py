@@ -156,11 +156,6 @@ def euclidean(a, b) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-def distance(inst: Instance, i: int, j: int) -> float:
-    """Euclidean length between two node references; symmetric, zero iff equal points."""
-    return euclidean(inst.point(i), inst.point(j))
-
-
 def check_instance(inst: Instance):
     """Validate the instance invariants; raises ValueError on violation."""
     pts = [inst.depot] + [(c[0], c[1]) for c in inst.customers] + [(v[0], v[1]) for v in inst.vehicles]
@@ -276,8 +271,9 @@ def load_dataset(path) -> list:
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-                instances.append(_from_record(rec))
+                inst = _from_record(json.loads(line))
+                check_instance(inst)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
                 raise DatasetError(f"{path}: malformed record at line {lineno}: {err}") from err
+            instances.append(inst)
     return instances

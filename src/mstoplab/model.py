@@ -36,6 +36,8 @@ from . import env
 from .autodiff import NEG_INF, Tensor
 from .instances import Instance
 
+LOGIT_CLAMP = 10.0      # final scores are LOGIT_CLAMP * tanh(.) before the mask
+
 
 @dataclass(frozen=True)
 class DdtmConfig:
@@ -46,11 +48,10 @@ class DdtmConfig:
     ff_dim: int = 128
     encoder_layers: int = 2
     decoder_layers: int = 1
-    logit_clamp: float = 10.0
 
     @classmethod
     def paper_scale(cls) -> "DdtmConfig":
-        return cls(d=128, heads=8, ff_dim=512, encoder_layers=4, decoder_layers=2, logit_clamp=10.0)
+        return cls(d=128, heads=8, ff_dim=512, encoder_layers=4, decoder_layers=2)
 
     def validate(self):
         if min(self.d, self.heads, self.ff_dim, self.encoder_layers, self.decoder_layers) < 1:
@@ -255,23 +256,19 @@ def encode_states(state: env.State, params: DdtmParameters, cfg: DdtmConfig, *,
     return Embeddings(rows=rows, graph=graph, masked_rows=masked, n=n, k=k)
 
 
-def encode(state, params: DdtmParameters, cfg: DdtmConfig, *, tape=None, bn_training=False) -> Embeddings:
-    """Encoder forward with evaluation-mode batch norm by default."""
-    return encode_states(state, params, cfg, tape=tape, bn_training=bn_training)
-
-
 class RouteDecoder:
     """Per-partial-route decoding context.
 
     Holds the per-layer history of context rows for this route, the current
     node embedding (initialized to the active vehicle's row), and the
     per-route projections of the encoder output that stay fixed while the
-    route is being built.
+    route is being built. ``params`` is the binding of a taped rollout, or
+    plain parameters for an untaped decode.
     """
 
-    def __init__(self, emb: Embeddings, bind: _Binding, cfg: DdtmConfig, vehicle_ids: np.ndarray):
+    def __init__(self, emb: Embeddings, params, cfg: DdtmConfig, vehicle_ids: np.ndarray):
         self.cfg = cfg
-        self.bind = bind
+        self.bind = bind = params if isinstance(params, _Binding) else _Binding(params, None)
         self.emb = emb
         self.n = emb.n
         self.t_dec = 0
@@ -290,7 +287,7 @@ class RouteDecoder:
         self.graph_q = ad.matmul(emb.graph, bind("graph_proj_w"))   # (B, 1, d)
         self.cur_rows = veh_part                                    # (B, 1, d)
 
-    def step(self, fuels: np.ndarray, action_mask_add: np.ndarray, return_logits=False):
+    def step(self, fuels: np.ndarray, action_mask_add: np.ndarray):
         """Log-probabilities over [depot, customers] for the current step.
 
         ``fuels`` is (B,) current fuel of the active vehicles; the additive
@@ -314,37 +311,14 @@ class RouteDecoder:
             self.hist[l].append(x_in)
         q = ad.matmul(ad.add(x, self.graph_q), bind("final_wq"))    # (B, 1, d)
         raw = ad.scale(ad.matmul(q, self.k_final, transpose_b=True), 1.0 / math.sqrt(cfg.d))
-        logits = ad.reshape(ad.scale(ad.tanh(raw), cfg.logit_clamp), (b, self.n + 1))
-        logp = ad.log_softmax(logits, mask=action_mask_add)
-        if return_logits:
-            return logp, logits
-        return logp
+        logits = ad.reshape(ad.scale(ad.tanh(raw), LOGIT_CLAMP), (b, self.n + 1))
+        return ad.log_softmax(logits, mask=action_mask_add)
 
     def advance(self, actions: np.ndarray):
         """Move to the next decode step: the chosen node becomes the current node."""
         row_idx = np.where(actions >= 1, actions, 0)
         self.cur_rows = ad.gather_rows(self.emb.rows, row_idx)
         self.t_dec += 1
-
-
-def start_route(emb: Embeddings, state: env.State, params, cfg: DdtmConfig,
-                tape=None) -> RouteDecoder:
-    bind = params if isinstance(params, _Binding) else _Binding(params, tape)
-    return RouteDecoder(emb, bind, cfg, state.active_vehicle)
-
-
-def decode_step(dec: RouteDecoder, state: env.State, *, return_logits=False):
-    """Action distribution (depot + customers) for a one-row state.
-
-    Returns probabilities summing to one with exact zeros on infeasible
-    actions; optionally also the clamped pre-mask logits.
-    """
-    mask = np.where(env.feasible_mask(state), 0.0, NEG_INF).reshape(1, -1)
-    out = dec.step(state.fuel, mask, return_logits=return_logits)
-    if return_logits:
-        logp, logits = out
-        return np.exp(logp.values[0]), logits.values[0]
-    return np.exp(out.values[0])
 
 
 @dataclass
@@ -375,13 +349,13 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
                    update_stats=False, forced_actions=None) -> BatchRollout:
     """Lockstep batched rollout over instances with per-instance vehicle orders.
 
-    Every vehicle slot is decoded jointly: elements whose route already ended
-    are forced onto the depot with a point-mass distribution and contribute
-    exactly zero log-probability and entropy (their rows are also excluded
-    from the returned sums via an alive mask), and the environment leaves
-    them unchanged until the slot ends. Replay mode takes ``forced_actions``
-    as the (B, T) action record of an earlier rollout of the same instances
-    and orders.
+    Every vehicle slot is decoded jointly: rows whose route already ended
+    keep only the depot feasible, so their point-mass distribution adds
+    exactly zero log-probability, entropy and gradient to the returned sums,
+    and the environment leaves them unchanged until the slot ends. Greedy
+    mode breaks probability ties toward the lowest node index. Replay mode
+    takes ``forced_actions`` as the (B, T) action record of an earlier
+    rollout of the same instances and orders.
     """
     if mode not in ("greedy", "sample", "replay"):
         raise ValueError(f"unknown rollout mode '{mode}'")
@@ -419,10 +393,8 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
             else:
                 raise ValueError("forced actions end before the rollout does")
             actions = np.where(open_rows, actions, 0)
-            alive = open_rows.astype(np.float64)
-            chosen = ad.mul(ad.gather_last(logp, actions), ad.constant(alive))
+            chosen = ad.gather_last(logp, actions)
             ent = ad.scale(ad.tsum(ad.mul(ad.exp(logp), logp), axis=-1), -1.0)
-            ent = ad.mul(ent, ad.constant(alive))
             logp_acc = chosen if logp_acc is None else ad.add(logp_acc, chosen)
             ent_acc = ent if ent_acc is None else ad.add(ent_acc, ent)
             ent_value_total += float(ent.values.sum())
@@ -441,15 +413,3 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
         mean_step_entropy=ent_value_total / max(alive_steps, 1),
         binding=bind,
     )
-
-
-def rollout(inst: Instance, order, params: DdtmParameters, cfg: DdtmConfig,
-            mode: str = "greedy", seed: int | None = None) -> env.Trajectory:
-    """Single-instance rollout (evaluation-mode batch norm, no tape).
-
-    Greedy mode breaks probability ties toward the lowest node index; sample
-    mode draws categorically with the given seed.
-    """
-    rng = np.random.default_rng(seed) if mode == "sample" else None
-    batch = rollout_states([inst], [tuple(order)], params, cfg, mode=mode, rng=rng)
-    return batch.trajectory(0)

@@ -26,7 +26,7 @@ held-out set decoded greedily with the identity vehicle order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from . import autodiff as ad
 from . import model as mdl
 from .autodiff import Tape
 from .checkpoint import save_checkpoint
-from .instances import GenConfig, augment, generate
+from .instances import N_SYMMETRIES, GenConfig, augment, generate
 from .model import DdtmConfig, DdtmParameters
 from .optim import AdamState, adam_step, clip_by_global_norm
 
@@ -50,7 +50,6 @@ class TrainConfig:
     epochs: int = 30
     steps_per_epoch: int = 50
     batch: int = 64                  # trajectories per step (all baselines)
-    k_aug: int = 8
     alpha: float = 0.01
     baseline: str = "instance-aug"
     lr: float = 1e-4
@@ -65,15 +64,13 @@ class TrainConfig:
             raise ValueError(f"baseline must be one of {BASELINES}, got '{self.baseline}'")
         if self.alpha < 0 or self.batch < 1 or self.epochs < 0 or self.steps_per_epoch < 1:
             raise ValueError(f"invalid training config: {self}")
-        if self.k_aug not in (1, 8):
-            raise ValueError(f"augmentation factor must be 1 or 8, got {self.k_aug}")
-        if self.baseline == "instance-aug":
-            if self.k_aug != 8:
-                raise ValueError("instance-aug baseline requires augmentation factor 8")
-            if self.batch % self.k_aug:
-                raise ValueError(f"batch {self.batch} not divisible by augmentation factor {self.k_aug}")
-        elif self.k_aug != 1:
-            raise ValueError(f"baseline '{self.baseline}' uses augmentation factor 1")
+        if self.batch % self.k_aug:
+            raise ValueError(f"batch {self.batch} not divisible by augmentation factor {self.k_aug}")
+
+    @property
+    def k_aug(self) -> int:
+        """Rollouts per raw instance: its symmetric copies under instance-aug."""
+        return N_SYMMETRIES if self.baseline == "instance-aug" else 1
 
     @property
     def raw_per_step(self) -> int:
@@ -99,7 +96,6 @@ class StepDiagnostics:
     mean_step_entropy: float
     grad_norm: float
     loss: float
-    grads: dict = field(default_factory=dict)
 
 
 def baseline_instance_aug(rewards: np.ndarray) -> np.ndarray:
@@ -130,8 +126,7 @@ def surrogate_loss(roll: mdl.BatchRollout, advantages: np.ndarray, alpha: float)
 
 def reinforce_step(raw_instances, orders, params: DdtmParameters, adam: AdamState,
                    model_cfg: DdtmConfig, cfg: TrainConfig, *, rollout_rng,
-                   frozen_params: DdtmParameters | None = None,
-                   apply_update: bool = True) -> StepDiagnostics:
+                   frozen_params: DdtmParameters | None = None) -> StepDiagnostics:
     """One REINFORCE update from sampled rollouts of a raw-instance batch."""
     if cfg.baseline == "instance-aug":
         batch_instances, batch_orders = [], []
@@ -166,15 +161,13 @@ def reinforce_step(raw_instances, orders, params: DdtmParameters, adam: AdamStat
             f"non-finite loss (mean reward {rewards.mean():.6f}, mean baseline {baselines.mean():.6f})")
     grads = roll.binding.gradients(tape.backward(loss))
     norm = clip_by_global_norm(grads, cfg.clip_norm)
-    if apply_update:
-        adam_step(params.trainable(), grads, adam)
+    adam_step(params.trainable(), grads, adam)
     return StepDiagnostics(
         mean_reward=float(rewards.mean()),
         mean_baseline=float(baselines.mean()),
         mean_step_entropy=roll.mean_step_entropy,
         grad_norm=norm,
         loss=float(loss.values),
-        grads=grads,
     )
 
 
@@ -201,30 +194,24 @@ def validate_greedy(params: DdtmParameters, model_cfg: DdtmConfig, instances) ->
 
 
 def train(params: DdtmParameters | None, model_cfg: DdtmConfig, cfg: TrainConfig,
-          instance_sampler=None, gen_cfg: GenConfig | None = None, *,
-          checkpoint_dir=None, progress=None, trace=None):
+          gen_cfg: GenConfig, *, instance_sampler=None, checkpoint_dir=None, progress=None):
     """Run the full training loop; returns (params, [EpochReport]).
 
-    ``instance_sampler`` is any callable (rng) -> Instance; when omitted it is
-    built from ``gen_cfg``. Report 0 carries the pre-training validation score
-    of the initial parameters; epochs 1..E follow. Checkpoints ``best`` (by
-    validation score) and ``last`` are written when a directory is given.
+    ``gen_cfg`` fixes the validation set. ``instance_sampler`` is any callable
+    (rng) -> Instance; when omitted it is built from ``gen_cfg``. Report 0
+    carries the pre-training validation score of the initial parameters;
+    epochs 1..E follow. Checkpoints ``best`` (by validation score) and
+    ``last`` are written when a directory is given.
     """
     cfg.validate()
     model_cfg.validate()
     if instance_sampler is None:
-        if gen_cfg is None:
-            raise TrainingError("need an instance sampler or a generation config")
         instance_sampler = default_sampler(gen_cfg)
     if params is None:
         params = DdtmParameters.init(model_cfg, seed=cfg.seed_model)
     if cfg.epochs == 0:
         return params, []
-    if gen_cfg is not None:
-        val_instances = validation_set(gen_cfg, cfg.validation_size, cfg.seed_data)
-    else:
-        val_rng = np.random.default_rng([cfg.seed_data, 0x5EED])
-        val_instances = [instance_sampler(val_rng) for _ in range(cfg.validation_size)]
+    val_instances = validation_set(gen_cfg, cfg.validation_size, cfg.seed_data)
 
     adam = AdamState(lr=cfg.lr)
     data_rng = np.random.default_rng(cfg.seed_data)
@@ -253,8 +240,6 @@ def train(params: DdtmParameters | None, model_cfg: DdtmConfig, cfg: TrainConfig
         if cfg.baseline == "greedy-rollout" and val > baseline_val:
             frozen = params.copy()
             baseline_val = val
-        if trace is not None:
-            trace.setdefault("baseline_val", []).append(baseline_val)
         report = EpochReport(
             epoch=epoch,
             train_reward=float(np.mean([s.mean_reward for s in stats])),

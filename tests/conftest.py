@@ -3,6 +3,7 @@ import pytest
 
 from mstoplab import autodiff as ad
 from mstoplab.instances import GenConfig, Instance, generate
+from mstoplab.model import rollout_states
 
 
 def rel_err(a, b):
@@ -68,6 +69,13 @@ def generous_instance(n=5, k=2) -> Instance:
     return Instance(depot=(0.5, 0.5), customers=customers,
                     vehicles=tuple((0.2 + 0.3 * j, 0.8, 10.0) for j in range(k)),
                     t_max=10.0)
+
+
+def rollout_one(inst, order, params, cfg, mode="greedy", seed=None):
+    """Untaped rollout of one instance under one vehicle order (sample mode
+    draws with ``seed``); returns its trajectory."""
+    rng = np.random.default_rng(seed) if mode == "sample" else None
+    return rollout_states([inst], [order], params, cfg, mode=mode, rng=rng).trajectory(0)
 
 
 @pytest.fixture

@@ -17,20 +17,20 @@ from mstoplab import autodiff as ad
 from mstoplab import model as mdl
 from mstoplab.cli import main as cli_main
 from mstoplab.inference import InferConfig, infer
-from mstoplab.instances import GenConfig, apply_symmetry, augment, distance, generate
+from mstoplab.instances import GenConfig, apply_symmetry, augment, euclidean, generate
 from mstoplab.model import DdtmConfig, DdtmParameters
 from mstoplab.optim import AdamState
 from mstoplab.oracle import brute_force_enum, solve_exact, verify
 from mstoplab.training import (TrainConfig, reinforce_step, surrogate_loss, train)
 
-from conftest import check_op_gradients, fd_gradient, rel_err
+from conftest import check_op_gradients, fd_gradient, rel_err, rollout_one
 
 TINY_GEN = GenConfig(n=6, k=2, t_max=1.5, prize_mode="constant", seed=0)
 TINY_MODEL = DdtmConfig(d=32, heads=4, ff_dim=128, encoder_layers=2, decoder_layers=1)
 
 ARMS = {
-    "D": dict(baseline="instance-aug", k_aug=8, alpha=0.01),
-    "A": dict(baseline="greedy-rollout", k_aug=1, alpha=0.0),
+    "D": dict(baseline="instance-aug", alpha=0.01),
+    "A": dict(baseline="greedy-rollout", alpha=0.0),
 }
 
 
@@ -196,12 +196,13 @@ def test_criterion_4_augmentation_invariance(rng):
                                   seed=2_000_000 + i))
         refs = list(range(inst.n + inst.k + 1))
         base_obj = solve_exact(inst).objective
-        traj = mdl.rollout(inst, (0, 1), policy, TINY_MODEL, mode="greedy")
+        traj = rollout_one(inst, (0, 1), policy, TINY_MODEL)
         for s in range(8):
             aug = apply_symmetry(inst, s)
             for a in refs:
                 for b in refs[a + 1:]:
-                    assert abs(distance(aug, a, b) - distance(inst, a, b)) <= 1e-12
+                    moved = euclidean(aug.point(a), aug.point(b))
+                    assert abs(moved - euclidean(inst.point(a), inst.point(b))) <= 1e-12
             assert abs(solve_exact(aug).objective - base_obj) <= 1e-9
             assert env.replay(aug, (0, 1), traj.actions).reward == traj.reward
     dt = time.perf_counter() - t0

@@ -301,6 +301,29 @@ def test_checkpoint_without_optimizer(tmp_path):
     assert adam is None and np.array_equal(params["w"], np.ones(2))
 
 
+def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    from mstoplab import checkpoint
+    path = tmp_path / "best.ckpt"
+    save_checkpoint(path, {"a": np.ones(3), "b": np.zeros(2)})
+    before = path.read_bytes()
+    real_write, written = checkpoint._write_block, []
+
+    def fail_on_second_block(fh, name, arr):
+        if written:
+            raise OSError("disk full")
+        written.append(name)
+        real_write(fh, name, arr)
+
+    monkeypatch.setattr(checkpoint, "_write_block", fail_on_second_block)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, {"a": np.full(3, 2.0), "b": np.ones(2)})
+    assert written == ["a"]
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+    loaded, _ = load_checkpoint(path)
+    assert np.array_equal(loaded["a"], np.ones(3)) and np.array_equal(loaded["b"], np.zeros(2))
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)

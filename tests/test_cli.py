@@ -196,6 +196,29 @@ def test_eval_rerun_identical_results(tmp_path, dataset_dir, trained_dir):
     assert (outs[0] / "summary.csv").read_bytes() == (outs[1] / "summary.csv").read_bytes()
 
 
+@pytest.mark.parametrize("strategies, reference, message", [
+    ("greedy,greedy", "auto", "twice"),
+    ("perm-aug,bogus", "auto", "bogus"),
+    (",", "best", "no strategy"),
+])
+def test_eval_rejects_bad_strategy_list_before_work(tmp_path, dataset_dir, trained_dir, capsys,
+                                                    monkeypatch, strategies, reference, message):
+    from mstoplab import cli
+
+    def no_inference(*args):
+        raise AssertionError("inference ran before the strategy list was checked")
+
+    monkeypatch.setattr(cli, "infer", no_inference)
+    code = run_cli(["eval", "--dataset", str(dataset_dir / "dataset.jsonl"),
+                    "--checkpoint", str(trained_dir / "best.ckpt"),
+                    "--strategies", strategies, "--reference", reference,
+                    "--d", "16", "--heads", "2", "--ff-dim", "32", "--enc-layers", "1",
+                    "--out", str(tmp_path / "bad")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
 def test_eval_checkpoint_shape_mismatch_reports_both(tmp_path, dataset_dir, trained_dir, capsys):
     code = run_cli(["eval", "--dataset", str(dataset_dir / "dataset.jsonl"),
                     "--checkpoint", str(trained_dir / "best.ckpt"),

@@ -8,7 +8,7 @@ import scalar_env
 from mstoplab import model as mdl
 from mstoplab.env import (EPS, EnvError, InfeasibleActionError, feasible_mask, replay,
                           reset, step)
-from mstoplab.instances import GenConfig, Instance, augment, distance, generate
+from mstoplab.instances import GenConfig, Instance, augment, euclidean, generate
 from mstoplab.model import DdtmConfig, DdtmParameters
 
 from conftest import generous_instance, tiny_instance
@@ -88,7 +88,8 @@ def test_mask_generous_fuel_all_customers_feasible():
     mask = feasible_mask(st)
     # independent distance check per customer
     for j in range(1, inst.n + 1):
-        detour = distance(inst, inst.n + 1, j) + distance(inst, j, 0)
+        detour = (euclidean(inst.point(inst.n + 1), inst.point(j))
+                  + euclidean(inst.point(j), inst.point(0)))
         assert detour <= inst.fuels()[0]
         assert mask[j]
     assert mask[0]

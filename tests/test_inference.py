@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from mstoplab import env
-from mstoplab.inference import (InferConfig, InferenceError, dominance_check, infer)
+from mstoplab.inference import InferConfig, infer
 from mstoplab.instances import GenConfig, apply_symmetry, generate
-from mstoplab.model import DdtmConfig, DdtmParameters, rollout
+from mstoplab.model import DdtmConfig, DdtmParameters, rollout_states
 from mstoplab.oracle import solve_exact, verify
+
+from conftest import rollout_one
 
 CFG = DdtmConfig()
 
@@ -34,8 +36,11 @@ def test_perm_census_two_vehicles(params):
     inst = generate(GenConfig(n=6, k=2, t_max=1.5, seed=1))
     sol, census = infer(inst, params, CFG, InferConfig(strategy="perm"))
     assert census.count == 2
-    labels = [lab for lab, _ in census.entries]
-    assert labels == ["order=(0, 1)", "order=(1, 0)"]
+    # one greedy rollout per vehicle order, in permutation order
+    orders = [(0, 1), (1, 0)]
+    greedy = rollout_states([inst] * 2, orders, params, CFG, mode="greedy")
+    assert np.array_equal(census.rewards, greedy.rewards)
+    assert sol.objective == census.rewards.max()
 
 
 def test_perm_aug_census_three_vehicles(params):
@@ -61,10 +66,7 @@ def test_sampling_census_and_determinism(params):
     assert census_a.count == 33  # width + unioned greedy trajectory
     assert a.objective == b.objective and a.routes == b.routes
     assert np.array_equal(census_a.rewards, census_b.rewards)
-    bare, census_bare = infer(inst, params, CFG,
-                              InferConfig(strategy="sampling", sample_width=32, seed=9,
-                                          include_greedy=False))
-    assert census_bare.count == 32
+    assert census_a.rewards[0] == rollout_one(inst, (0, 1), params, CFG).reward
 
 
 def test_sampling_with_greedy_union_dominates_greedy(params):
@@ -78,7 +80,8 @@ def test_sampling_with_greedy_union_dominates_greedy(params):
 def test_dominance_chain_random_params(params):
     for seed in range(20):
         inst = generate(GenConfig(n=6, k=2, t_max=1.5, prize_mode="uniform", seed=200 + seed))
-        g, p, a = dominance_check(inst, params, CFG)
+        g, p, a = (infer(inst, params, CFG, InferConfig(strategy=s))[0].objective
+                   for s in ("greedy", "perm", "perm-aug"))
         assert a >= p >= g
 
 
@@ -95,7 +98,7 @@ def test_augmented_replay_reward_identical(params):
     inst = generate(GenConfig(n=6, k=2, t_max=1.5, seed=5))
     for s in range(8):
         aug = apply_symmetry(inst, s)
-        traj = rollout(aug, (1, 0), params, CFG, mode="greedy")
+        traj = rollout_one(aug, (1, 0), params, CFG)
         replayed = env.replay(inst, (1, 0), traj.actions)
         assert replayed.reward == traj.reward
 

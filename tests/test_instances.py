@@ -5,7 +5,7 @@ import pytest
 
 from mstoplab.instances import (DatasetError, GenConfig, Instance, PRESETS,
                                 SQUARE_SYMMETRIES, apply_symmetry, augment,
-                                check_instance, distance, euclidean, generate,
+                                check_instance, euclidean, generate,
                                 generate_many, load_dataset, save_dataset)
 
 
@@ -92,7 +92,8 @@ def test_augmentation_isometry(rng):
             aug = apply_symmetry(inst, s)
             for _ in range(40):
                 i, j = rng.choice(refs, size=2, replace=False)
-                assert abs(distance(aug, i, j) - distance(inst, i, j)) <= 1e-12
+                moved = euclidean(aug.point(i), aug.point(j))
+                assert abs(moved - euclidean(inst.point(i), inst.point(j))) <= 1e-12
 
 
 def test_augmentation_group_closure(rng):
@@ -114,18 +115,18 @@ def test_augmentation_group_closure(rng):
 def test_distance_three_four_five():
     inst = Instance(depot=(0.0, 0.0), customers=(((0.3), 0.4, 1.0),),
                     vehicles=((0.0, 0.0, 1.0),), t_max=1.0)
-    assert abs(distance(inst, 0, 1) - 0.5) <= 1e-15
+    assert abs(euclidean(inst.point(0), inst.point(1)) - 0.5) <= 1e-15
 
 
 def test_distance_zero_iff_same_point_and_symmetry(rng):
     inst = generate(GenConfig(n=10, k=3, t_max=2.0, seed=5))
     refs = inst.n + inst.k + 1
     for i in range(refs):
-        assert distance(inst, i, i) == 0.0
+        assert euclidean(inst.point(i), inst.point(i)) == 0.0
     for _ in range(1000):
         i, j = rng.integers(0, refs, size=2)
-        assert distance(inst, i, j) == distance(inst, j, i)
-        assert distance(inst, i, j) >= 0.0
+        assert euclidean(inst.point(i), inst.point(j)) == euclidean(inst.point(j), inst.point(i))
+        assert euclidean(inst.point(i), inst.point(j)) >= 0.0
     with pytest.raises(IndexError):
         inst.point(refs)
 
@@ -147,6 +148,25 @@ def test_dataset_truncated_line_reports_line_number(tmp_path):
     text = path.read_text()
     path.write_text(text[: text.rindex("}") - 5])
     with pytest.raises(DatasetError, match="line 3"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("customers", [[1.7, 0.2, 1.0]], "outside the unit square"),
+    ("vehicles", [[0.9, 0.9, 0.0]], "fuel 0.0 outside"),
+])
+def test_dataset_rejects_invalid_instance(tmp_path, field, value, message):
+    """A well-formed record whose instance breaks an invariant (a point off
+    the unit square, a vehicle that cannot reach the depot) names its line."""
+    instances = generate_many(GenConfig(n=4, k=2, t_max=1.5, seed=3), 3)
+    path = tmp_path / "data.jsonl"
+    save_dataset(instances, path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec[field] = value + rec[field][1:]
+    lines[1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetError, match=f"line 2: .*{message}"):
         load_dataset(path)
 
 

@@ -6,13 +6,13 @@ import pytest
 
 from mstoplab import env
 from mstoplab import model as mdl
-from mstoplab.autodiff import Tape
+from mstoplab.autodiff import NEG_INF, Tape
 from mstoplab.instances import GenConfig, Instance, generate
-from mstoplab.model import (DdtmConfig, DdtmParameters, decode_step, encode,
-                            parameter_schema, positional_encoding, rollout)
+from mstoplab.model import (LOGIT_CLAMP, DdtmConfig, DdtmParameters, RouteDecoder,
+                            encode_states, parameter_schema, positional_encoding)
 from mstoplab.oracle import solve_exact
 
-from conftest import generous_instance, tiny_instance
+from conftest import generous_instance, rollout_one, tiny_instance
 
 CFG = DdtmConfig()
 
@@ -20,6 +20,15 @@ CFG = DdtmConfig()
 @pytest.fixture(scope="module")
 def params():
     return DdtmParameters.init(CFG, seed=7)
+
+
+def first_step_probs(state, params):
+    """Action probabilities of the first decode step of a one-row state's
+    active route, from the encoder and decoder the rollouts use."""
+    emb = encode_states(state, params, CFG)
+    dec = RouteDecoder(emb, params, CFG, state.active_vehicle)
+    mask = np.where(env.feasible_mask(state), 0.0, NEG_INF)
+    return np.exp(dec.step(state.fuel, mask.reshape(1, -1)).values[0])
 
 
 # --- configuration -----------------------------------------------------------
@@ -35,7 +44,7 @@ def test_config_validation():
 def test_paper_scale_preset():
     big = DdtmConfig.paper_scale()
     assert (big.d, big.heads, big.ff_dim) == (128, 8, 512)
-    assert (big.encoder_layers, big.decoder_layers, big.logit_clamp) == (4, 2, 10.0)
+    assert (big.encoder_layers, big.decoder_layers) == (4, 2)
 
 
 def test_parameter_schema_round_trip(params):
@@ -93,14 +102,14 @@ def test_positional_encoding_flat_index_formula():
 def test_encode_shape_contract(params):
     for n, k in ((4, 1), (6, 2), (5, 3)):
         inst = generate(GenConfig(n=n, k=k, t_max=2.0, seed=n * 10 + k))
-        emb = encode(env.reset(inst, tuple(range(k))), params, CFG)
+        emb = encode_states(env.reset(inst, tuple(range(k))), params, CFG)
         assert emb.rows.shape == (1, n + k + 1, CFG.d)
         assert emb.graph.shape == (1, 1, CFG.d)
 
 
 def test_graph_embedding_fresh_state_divisor(params):
     inst = tiny_instance(seed=3)
-    emb = encode(env.reset(inst, (0, 1)), params, CFG)
+    emb = encode_states(env.reset(inst, (0, 1)), params, CFG)
     assert not emb.masked_rows.any()
     manual = emb.rows.values.mean(axis=1)  # all N+K+1 rows
     assert np.allclose(emb.graph.values[:, 0, :], manual, atol=1e-12)
@@ -111,7 +120,7 @@ def test_graph_embedding_masks_visited_rows(params):
     st = env.reset(inst, (0, 1))
     for action in (1, 3, 4, 0):
         st = env.step(st, action)
-    emb = encode(st, params, CFG)
+    emb = encode_states(st, params, CFG)
     masked = emb.masked_rows[0]
     assert masked[[1, 3, 4]].all() and masked[inst.n + 1]
     keep = ~masked
@@ -130,19 +139,17 @@ def test_visited_coordinates_do_not_leak(params):
     moved = dataclasses.replace(inst, customers=tuple(customers))
     st_moved = dataclasses.replace(st, batch=env.Batch([moved]))
 
-    emb_a = encode(st, params, CFG)
-    emb_b = encode(st_moved, params, CFG)
+    emb_a = encode_states(st, params, CFG)
+    emb_b = encode_states(st_moved, params, CFG)
     assert np.allclose(emb_a.graph.values, emb_b.graph.values, atol=1e-12)
-    dec_a = mdl.start_route(emb_a, st, params, CFG)
-    dec_b = mdl.start_route(emb_b, st_moved, params, CFG)
-    assert np.allclose(decode_step(dec_a, st), decode_step(dec_b, st_moved), atol=1e-12)
+    assert np.allclose(first_step_probs(st, params), first_step_probs(st_moved, params), atol=1e-12)
 
 
 def test_encode_rejects_terminal_state(params):
     st = env.reset(generous_instance(n=2, k=1), (0,))
     st = env.step(st, 0)
     with pytest.raises(env.EnvError):
-        encode(st, params, CFG)
+        encode_states(st, params, CFG)
 
 
 # --- decoder -----------------------------------------------------------------------
@@ -150,9 +157,7 @@ def test_encode_rejects_terminal_state(params):
 def test_decode_distribution_contract(params):
     inst = generous_instance(n=5, k=2)
     st = env.reset(inst, (0, 1))
-    emb = encode(st, params, CFG)
-    dec = mdl.start_route(emb, st, params, CFG)
-    probs, logits = decode_step(dec, st, return_logits=True)
+    probs = first_step_probs(st, params)
     assert probs.shape == (inst.n + 1,)
     assert abs(probs.sum() - 1.0) <= 1e-6
     assert np.all(probs >= 0)
@@ -160,16 +165,15 @@ def test_decode_distribution_contract(params):
     assert np.all(probs[~feas] == 0.0)
     ent = -(probs[probs > 0] * np.log(probs[probs > 0])).sum()
     assert 0.0 <= ent <= math.log(int(feas.sum())) + 1e-9
-    assert np.all(np.abs(logits) <= CFG.logit_clamp + 1e-12)
+    # feasible log-probabilities differ by logit differences, which the clamp bounds
+    logp = np.log(probs[feas])
+    assert logp.max() - logp.min() <= 2 * LOGIT_CLAMP + 1e-9
 
 
 def test_decode_point_mass_when_everything_masked(params):
     inst = Instance(depot=(0.0, 0.0), customers=((0.9, 0.9, 1.0), (0.8, 0.8, 1.0)),
                     vehicles=((0.3, 0.4, 0.5),), t_max=1.0)
-    st = env.reset(inst, (0,))
-    emb = encode(st, params, CFG)
-    dec = mdl.start_route(emb, st, params, CFG)
-    probs = decode_step(dec, st)
+    probs = first_step_probs(env.reset(inst, (0,)), params)
     assert probs[0] == 1.0 and np.all(probs[1:] == 0.0)
     ent = -(probs[probs > 0] * np.log(probs[probs > 0])).sum()
     assert ent == 0.0
@@ -179,19 +183,19 @@ def test_decode_point_mass_when_everything_masked(params):
 
 def test_greedy_rollout_deterministic(params):
     inst = tiny_instance(seed=11)
-    a = rollout(inst, (0, 1), params, CFG, mode="greedy")
-    b = rollout(inst, (0, 1), params, CFG, mode="greedy")
+    a = rollout_one(inst, (0, 1), params, CFG)
+    b = rollout_one(inst, (0, 1), params, CFG)
     assert a.routes == b.routes and a.reward == b.reward
     assert a.actions == b.actions
 
 
 def test_sample_rollout_seed_contract(params):
     inst = generous_instance(n=6, k=2)
-    a = rollout(inst, (0, 1), params, CFG, mode="sample", seed=41)
-    b = rollout(inst, (0, 1), params, CFG, mode="sample", seed=41)
+    a = rollout_one(inst, (0, 1), params, CFG, mode="sample", seed=41)
+    b = rollout_one(inst, (0, 1), params, CFG, mode="sample", seed=41)
     assert a.routes == b.routes
     different = any(
-        rollout(inst, (0, 1), params, CFG, mode="sample", seed=s).routes != a.routes
+        rollout_one(inst, (0, 1), params, CFG, mode="sample", seed=s).routes != a.routes
         for s in range(42, 52))
     assert different
 
@@ -201,13 +205,13 @@ def test_rollout_reward_bounded_by_exact(params):
         inst = generate(GenConfig(n=7, k=2, t_max=1.6, prize_mode="uniform", seed=200 + seed))
         best = solve_exact(inst).objective
         for mode, s in (("greedy", None), ("sample", seed)):
-            traj = rollout(inst, (0, 1), params, CFG, mode=mode, seed=s)
+            traj = rollout_one(inst, (0, 1), params, CFG, mode=mode, seed=s)
             assert traj.reward <= best + 1e-9
 
 
 def test_rollout_routes_end_at_depot_and_respect_budget(params):
     inst = tiny_instance(seed=21)
-    traj = rollout(inst, (1, 0), params, CFG, mode="sample", seed=3)
+    traj = rollout_one(inst, (1, 0), params, CFG, mode="sample", seed=3)
     assert traj.actions[-1] == 0
     assert traj.actions.count(0) == inst.k
     for k, route in enumerate(traj.routes):
@@ -216,7 +220,7 @@ def test_rollout_routes_end_at_depot_and_respect_budget(params):
 
 def test_trajectory_log_prob_matches_forced_replay(params):
     inst = generous_instance(n=5, k=2)
-    traj = rollout(inst, (0, 1), params, CFG, mode="sample", seed=13)
+    traj = rollout_one(inst, (0, 1), params, CFG, mode="sample", seed=13)
     batch = mdl.rollout_states([inst], [(0, 1)], params, CFG,
                                mode="replay", forced_actions=[traj.actions])
     assert batch.trajectory(0).routes == traj.routes
@@ -229,7 +233,7 @@ def test_batched_rollout_matches_single(params):
     batch = mdl.rollout_states(insts, orders, params, CFG, mode="greedy")
     for i, (inst, order) in enumerate(zip(insts, orders)):
         traj = batch.trajectory(i)
-        single = rollout(inst, order, params, CFG, mode="greedy")
+        single = rollout_one(inst, order, params, CFG)
         assert single.routes == traj.routes
         assert abs(single.reward - traj.reward) <= 1e-12
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mstoplab import model as mdl
-from mstoplab.instances import GenConfig, Instance, generate
+from mstoplab import training
+from mstoplab.instances import GenConfig, Instance, augment, generate
 from mstoplab.model import DdtmConfig, DdtmParameters
 from mstoplab.optim import AdamState
 from mstoplab.training import (TrainConfig, TrainingError, baseline_batch_mean,
@@ -24,23 +25,20 @@ def zero_prize_instance(seed):
     return dataclasses.replace(inst, customers=customers)
 
 
-def fresh_setup(baseline="instance-aug", alpha=0.01, k_aug=None, seed=0, clip=1.0):
-    if k_aug is None:
-        k_aug = 8 if baseline == "instance-aug" else 1
-    cfg = TrainConfig(baseline=baseline, alpha=alpha, k_aug=k_aug, batch=16,
-                      clip_norm=clip, seed_model=seed)
+def fresh_setup(baseline="instance-aug", alpha=0.01, seed=0, clip=1.0):
+    cfg = TrainConfig(baseline=baseline, alpha=alpha, batch=16, clip_norm=clip, seed_model=seed)
     params = DdtmParameters.init(CFG, seed=seed)
     return cfg, params, AdamState(lr=cfg.lr)
 
 
-def run_step(cfg, params, adam, instances=None, seed=0, frozen=None, apply_update=True):
+def run_step(cfg, params, adam, instances=None, seed=0, frozen=None):
     rng = np.random.default_rng(seed)
     if instances is None:
         instances = [generate(dataclasses.replace(GEN, seed=1000 + seed * 100 + i))
                      for i in range(cfg.raw_per_step)]
     orders = [(0, 1)] * len(instances)
     return reinforce_step(instances, orders, params, adam, CFG, cfg,
-                          rollout_rng=rng, frozen_params=frozen, apply_update=apply_update)
+                          rollout_rng=rng, frozen_params=frozen)
 
 
 # --- baselines ----------------------------------------------------------------
@@ -106,19 +104,20 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(alpha=-0.1).validate()
     with pytest.raises(ValueError):
-        TrainConfig(baseline="instance-aug", k_aug=1).validate()
-    with pytest.raises(ValueError):
-        TrainConfig(baseline="instance-aug", k_aug=8, batch=12).validate()
-    with pytest.raises(ValueError):
-        TrainConfig(baseline="batch-mean", k_aug=8).validate()
-    with pytest.raises(ValueError):
-        TrainConfig(k_aug=4, baseline="batch-mean").validate()
-    TrainConfig(baseline="greedy-rollout", k_aug=1).validate()
+        TrainConfig(baseline="instance-aug", batch=12).validate()
+    TrainConfig(baseline="greedy-rollout", batch=12).validate()
+
+
+def test_augmentation_factor_follows_baseline():
+    assert TrainConfig(baseline="instance-aug").k_aug == 8
+    assert TrainConfig(baseline="batch-mean").k_aug == TrainConfig(baseline="greedy-rollout").k_aug == 1
+    with pytest.raises(TypeError):
+        TrainConfig(k_aug=8)
 
 
 def test_raw_per_step_accounting():
-    aug = TrainConfig(baseline="instance-aug", k_aug=8, batch=64)
-    plain = TrainConfig(baseline="greedy-rollout", k_aug=1, batch=64)
+    aug = TrainConfig(baseline="instance-aug", batch=64)
+    plain = TrainConfig(baseline="greedy-rollout", batch=64)
     assert aug.raw_per_step * 8 == plain.raw_per_step == 64
 
 
@@ -139,12 +138,21 @@ def test_zero_signal_null_parameters_frozen():
 
 
 def test_zero_advantage_gradient_is_alpha_times_entropy_gradient():
-    instances = [zero_prize_instance(77 + i) for i in range(2)]
+    """Zero prizes under the instance-aug baseline: every advantage is zero,
+    so the surrogate's gradient is alpha times the entropy gradient."""
+    instances = [x for i in range(2) for x in augment(zero_prize_instance(77 + i))]
+    orders = [(0, 1)] * len(instances)
+    params = DdtmParameters.init(CFG, seed=0)
     grads = {}
     for alpha in (0.5, 1.0):
-        cfg, params, adam = fresh_setup(alpha=alpha, clip=0.0)
-        diag = run_step(cfg, params, adam, instances=instances, seed=4, apply_update=False)
-        grads[alpha] = diag.grads
+        tape = Tape()
+        roll = mdl.rollout_states(instances, orders, params, CFG, mode="sample",
+                                  rng=np.random.default_rng(4), tape=tape, bn_training=True)
+        advantages = roll.rewards - np.repeat(baseline_instance_aug(roll.rewards.reshape(2, 8)), 8)
+        assert not advantages.any()
+        loss = surrogate_loss(roll, advantages, alpha)
+        grads[alpha] = roll.binding.gradients(tape.backward(loss))
+    assert any(np.any(g != 0.0) for g in grads[1.0].values())
     for name in grads[1.0]:
         assert np.allclose(grads[0.5][name], 0.5 * grads[1.0][name], atol=1e-12)
 
@@ -215,21 +223,42 @@ def test_train_deterministic_reports():
 
 def test_train_reports_raw_instance_parity():
     common = dict(epochs=1, steps_per_epoch=4, batch=16, validation_size=8)
-    _, rep_aug = train(None, CFG, TrainConfig(baseline="instance-aug", k_aug=8, **common),
-                       gen_cfg=GEN)
-    _, rep_gr = train(None, CFG, TrainConfig(baseline="greedy-rollout", k_aug=1, **common),
-                      gen_cfg=GEN)
+    _, rep_aug = train(None, CFG, TrainConfig(baseline="instance-aug", **common), gen_cfg=GEN)
+    _, rep_gr = train(None, CFG, TrainConfig(baseline="greedy-rollout", **common), gen_cfg=GEN)
     assert rep_aug[1].raw_instances * 8 == rep_gr[1].raw_instances
 
 
-def test_train_greedy_rollout_baseline_val_monotone():
-    cfg = TrainConfig(epochs=4, steps_per_epoch=4, batch=16, baseline="greedy-rollout",
-                      k_aug=1, alpha=0.01, validation_size=16)
-    trace = {}
-    train(None, CFG, cfg, gen_cfg=GEN, trace=trace)
-    vals = trace["baseline_val"]
-    assert len(vals) == 4
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
+def test_train_greedy_rollout_recopies_only_on_validation_improvement(monkeypatch):
+    """The frozen baseline policy is re-copied from the trained parameters
+    after exactly the epochs whose validation beats the best so far."""
+    scores = iter([0.5, 0.7, 0.7, 0.6, 0.9, 0.4])   # epoch 0 (initial), then epochs 1..5
+    validated = []                                 # parameters at each validation
+
+    def scripted_validation(params, model_cfg, instances):
+        validated.append(params.copy())
+        return next(scores)
+
+    frozen_per_epoch = {}
+    real_step = training.reinforce_step
+
+    def recording_step(*args, frozen_params, **kwargs):
+        frozen_per_epoch[len(validated)] = frozen_params
+        return real_step(*args, frozen_params=frozen_params, **kwargs)
+
+    monkeypatch.setattr(training, "validate_greedy", scripted_validation)
+    monkeypatch.setattr(training, "reinforce_step", recording_step)
+    cfg = TrainConfig(epochs=5, steps_per_epoch=1, batch=4, baseline="greedy-rollout",
+                      validation_size=2)
+    train(None, CFG, cfg, gen_cfg=GEN)
+    assert sorted(frozen_per_epoch) == [1, 2, 3, 4, 5]
+    # epochs 2-4 train against the copy made after epoch 1 (0.7 > 0.5): the tie
+    # after epoch 2 and the drop after epoch 3 make no copy; 0.9 after epoch 4 does
+    assert frozen_per_epoch[2] is frozen_per_epoch[3] is frozen_per_epoch[4]
+    assert len({id(f) for f in frozen_per_epoch.values()}) == 3
+    for epoch, source in ((1, 0), (2, 1), (5, 4)):
+        frozen, snapshot = frozen_per_epoch[epoch], validated[source]
+        assert all(np.array_equal(frozen[k], snapshot[k]) for k in snapshot.keys())
+    assert not np.array_equal(validated[1]["final_wq"], validated[4]["final_wq"])
 
 
 def test_train_writes_checkpoints(tmp_path):
