@@ -80,21 +80,29 @@ def _write_checkpoint(fh, params: dict, adam: AdamState | None):
         _write_block(fh, name, np.asarray(arr, dtype=np.float64))
 
 
-def save_checkpoint(path, params: dict, adam: AdamState | None = None):
-    """Write named arrays (and optional Adam state) to ``path``.
-
-    The bytes go to ``<path>.tmp`` first, which then replaces ``path`` in one
-    step, so a write that fails partway leaves the previous file intact.
-    """
+@contextlib.contextmanager
+def atomic_write(path, mode, **open_kwargs):
+    """Open ``<path>.tmp`` for writing; when the block exits normally it
+    replaces ``path`` in one step. If the block raises, the temporary file
+    is removed and ``path`` is left as it was. There is no ``fsync``, so this
+    guards against a failed or killed process, not against power loss."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            _write_checkpoint(fh, params, adam)
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def save_checkpoint(path, params: dict, adam: AdamState | None = None):
+    """Write named arrays (and optional Adam state) to ``path`` with
+    :func:`atomic_write`, so a write that fails partway leaves the previous
+    file intact."""
+    with atomic_write(path, "wb") as fh:
+        _write_checkpoint(fh, params, adam)
 
 
 def load_checkpoint(path):

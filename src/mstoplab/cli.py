@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .checkpoint import FORMAT_VERSION as CKPT_VERSION, load_checkpoint, save_checkpoint
+from .checkpoint import FORMAT_VERSION as CKPT_VERSION, atomic_write, load_checkpoint
 from .inference import InferConfig, infer
 from .instances import (DATASET_VERSION, GenConfig, PRESETS, PRIZE_MODES,
                         generate_many, load_dataset, save_dataset)
@@ -63,7 +63,7 @@ def _write_manifest(out, command, config):
             "checkpoint_format": CKPT_VERSION,
         },
     }
-    with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
@@ -170,13 +170,13 @@ def cmd_solve(args) -> int:
             raise UsageError(f"reference file has {len(refs)} records, dataset has {len(solutions)}")
 
     results_path = os.path.join(out, "results.jsonl")
-    with open(results_path, "w", encoding="utf-8") as fh:
+    with atomic_write(results_path, "w", encoding="utf-8") as fh:
         for i, sol in enumerate(solutions):
             fh.write(json.dumps({
                 "instance": i, "objective": sol.objective, "optimal": sol.optimal,
                 "routes": [list(r) for r in sol.routes], "expansions": sol.expansions,
             }) + "\n")
-    with open(os.path.join(out, "timings.txt"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out, "timings.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"wall_time_s {elapsed!r}\n")
     _write_manifest(out, "solve", {
         "dataset": args.dataset, "method": args.method, "budget": args.budget,
@@ -229,9 +229,9 @@ def cmd_train(args) -> int:
               f"val {report.val_score:.4f}  ({report.wall_time:.1f}s)")
 
     _, reports = train(None, model_cfg, train_cfg, gen_cfg, checkpoint_dir=out, progress=progress)
-    with open(os.path.join(out, "metrics.csv"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out, "metrics.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(metrics_rows(reports)) + "\n")
-    with open(os.path.join(out, "timings.csv"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out, "timings.csv"), "w", encoding="utf-8") as fh:
         fh.write("epoch,wall_time_s\n")
         for r in reports:
             fh.write(f"{r.epoch},{r.wall_time!r}\n")
@@ -297,7 +297,7 @@ def cmd_eval(args) -> int:
         ref_label = "best-of-methods"
 
     results_path = os.path.join(out, "results.csv")
-    with open(results_path, "w", encoding="utf-8") as fh:
+    with atomic_write(results_path, "w", encoding="utf-8") as fh:
         fh.write("instance,strategy,reward,trajectories,routes\n")
         for strategy in strategies:
             for i, obj, count, routes in per_strategy[strategy]:
@@ -318,12 +318,13 @@ def cmd_eval(args) -> int:
         gap = gap_of(strategy)
         table.append(f"{strategy:<12} {mean_obj:>8.4f} {gap:>7.2f}% {times[strategy]:>7.1f}s")
         summary_rows.append(f"{strategy},{mean_obj!r},{gap!r}")
-    with open(os.path.join(out, "summary.csv"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out, "summary.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(summary_rows) + "\n")
-    with open(os.path.join(out, "timings.csv"), "w", encoding="utf-8") as fh:
-        fh.write("strategy,wall_time_s\n")
+    with atomic_write(os.path.join(out, "timings.csv"), "w", encoding="utf-8") as fh:
+        fh.write("strategy,wall_time_s,trajectories,trajectories_per_s\n")
         for strategy in strategies:
-            fh.write(f"{strategy},{times[strategy]!r}\n")
+            count = sum(row[2] for row in per_strategy[strategy])
+            fh.write(f"{strategy},{times[strategy]!r},{count},{count / times[strategy]!r}\n")
     _write_manifest(out, "eval", {
         "dataset": args.dataset, "checkpoint": args.checkpoint,
         "strategies": strategies, "sample_width": args.sample_width,

@@ -84,9 +84,10 @@ def infer(inst: Instance, params: DdtmParameters, cfg: DdtmConfig,
         rewards, trajectory = roll.rewards, roll.trajectory
 
     else:  # perm-aug
+        symmetric = [apply_symmetry(inst, s) for s in range(N_SYMMETRIES)]
         variants = [(p, s) for p in perms for s in range(N_SYMMETRIES)]
         orders = [p for p, _ in variants]
-        roll = _greedy([apply_symmetry(inst, s) for _, s in variants], orders, params, cfg)
+        roll = _greedy([symmetric[s] for _, s in variants], orders, params, cfg)
         # decode ran on transformed coordinates; score on the original
         replayed = env.replay([inst] * len(variants), orders, roll.actions)
         rewards, trajectory = np.array([t.reward for t in replayed]), replayed.__getitem__

@@ -6,7 +6,10 @@ masked multi-head self-attention layers (batch-norm + residual + feed-forward),
 and averages the unmasked rows into a graph embedding. It is re-run at the
 start of every partial route, because finishing a route changes the graph a
 vehicle sees: visited nodes are masked out and the next vehicle starts
-somewhere else.
+somewhere else. Without a tape and with eval-mode batch-norm every encoder op
+acts on each row alone, so rows with equal encoder inputs share one encoding:
+the rows of a sampling or permutation rollout are encoded once in the first
+route, and a taped (training) call encodes every row.
 
 The decoder builds one action distribution per step:
 
@@ -214,20 +217,9 @@ def _self_attention(rows, bind, prefix, heads, mask_add):
     return _attention(rows, kh, vh, bind(f"{prefix}_wq"), bind(f"{prefix}_wout"), heads, mask_add)
 
 
-def encode_states(state: env.State, params: DdtmParameters, cfg: DdtmConfig, *,
-                  tape=None, bn_training=False, update_stats=False) -> Embeddings:
-    """Encoder forward over every row of a state (fresh per outer loop)."""
-    if state.terminal.any():
-        raise env.EnvError("cannot encode a terminal state")
-    b, n = state.visited.shape
-    k = state.orders.shape[1]
-    depot = state.batch.rows(Instance.node_xy)[:, :1]
-    cust = np.concatenate([state.batch.rows(Instance.customer_xy), state.residual_prizes[..., None]],
-                          axis=-1)
-    veh = np.concatenate([state.positions, state.fuels[..., None]], axis=-1)
-    masked = np.concatenate([np.zeros((b, 1), dtype=bool), state.visited, state.done], axis=1)
-
-    bind = _Binding(params, tape) if not isinstance(params, _Binding) else params
+def _encode(depot, cust, veh, masked, bind, cfg: DdtmConfig, bn_training, update_stats):
+    """Encoder body: (rows, graph) for per-row depot, customer and vehicle
+    inputs and masked-row flags."""
     rows = ad.concat([
         ad.matmul(ad.constant(depot), bind("init_depot_w")),
         ad.matmul(ad.constant(cust), bind("init_node_w")),
@@ -252,7 +244,45 @@ def encode_states(state: env.State, params: DdtmParameters, cfg: DdtmConfig, *,
 
     keep = (~masked).astype(np.float64)
     weights = (keep / keep.sum(axis=1, keepdims=True))[:, None, :]
-    graph = ad.matmul(ad.constant(weights), rows)
+    return rows, ad.matmul(ad.constant(weights), rows)
+
+
+def encode_states(state: env.State, params: DdtmParameters, cfg: DdtmConfig, *,
+                  tape=None, bn_training=False, update_stats=False) -> Embeddings:
+    """Encoder forward over every row of a state; rollouts call it at the
+    start of every vehicle slot.
+
+    Untaped and with eval-mode batch-norm, every encoder op acts on each row
+    alone, so rows with equal inputs get equal encodings: each distinct row
+    is encoded once and its encoding copied to the rows equal to it (the
+    rows of a sampling or permutation rollout share one state in slot 0).
+    A taped call or one with batch statistics encodes every row.
+    """
+    if state.terminal.any():
+        raise env.EnvError("cannot encode a terminal state")
+    b, n = state.visited.shape
+    k = state.orders.shape[1]
+    depot = state.batch.rows(Instance.node_xy)[:, :1]
+    cust = np.concatenate([state.batch.rows(Instance.customer_xy), state.residual_prizes[..., None]],
+                          axis=-1)
+    veh = np.concatenate([state.positions, state.fuels[..., None]], axis=-1)
+    masked = np.concatenate([np.zeros((b, 1), dtype=bool), state.visited, state.done], axis=1)
+    bind = _Binding(params, tape) if not isinstance(params, _Binding) else params
+
+    encoded, inverse = slice(None), None
+    if bind.tape is None and not bn_training:
+        key = np.concatenate([depot.reshape(b, -1), cust.reshape(b, -1), veh.reshape(b, -1), masked],
+                             axis=1)
+        first = {}
+        src = np.fromiter((first.setdefault(row.tobytes(), i) for i, row in enumerate(key)),
+                          np.intp, b)
+        if len(first) < b:
+            encoded = np.fromiter(first.values(), np.intp, len(first))
+            inverse = np.searchsorted(encoded, src)
+    rows, graph = _encode(depot[encoded], cust[encoded], veh[encoded], masked[encoded], bind, cfg,
+                          bn_training, update_stats)
+    if inverse is not None:
+        rows, graph = ad.constant(rows.values[inverse]), ad.constant(graph.values[inverse])
     return Embeddings(rows=rows, graph=graph, masked_rows=masked, n=n, k=k)
 
 

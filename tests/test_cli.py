@@ -168,6 +168,18 @@ def test_eval_strategies_table(tmp_path, dataset_dir, trained_dir, capsys):
     assert means[0] <= means[1] <= means[2]  # greedy <= perm <= perm-aug
     gaps = [float(line.split(",")[2]) for line in summary]
     assert all(g >= -1e-9 for g in gaps)
+    # timings.csv: wall time and trajectories per strategy, summed from the censuses
+    counts = {}
+    for line in (out / "results.csv").read_text().splitlines()[1:]:
+        strategy, trajectories = line.split(",")[1], int(line.split(",")[3])
+        counts[strategy] = counts.get(strategy, 0) + trajectories
+    assert counts == {"greedy": 12, "perm": 24, "perm-aug": 192}
+    timings = (out / "timings.csv").read_text().splitlines()
+    assert timings[0] == "strategy,wall_time_s,trajectories,trajectories_per_s"
+    for line in timings[1:]:
+        strategy, wall, trajectories, per_s = line.split(",")
+        assert int(trajectories) == counts[strategy]
+        assert float(per_s) == int(trajectories) / float(wall)
 
 
 def test_eval_best_reference_has_zero_gap(tmp_path, dataset_dir, trained_dir):
@@ -194,6 +206,33 @@ def test_eval_rerun_identical_results(tmp_path, dataset_dir, trained_dir):
         outs.append(out)
     assert (outs[0] / "results.csv").read_bytes() == (outs[1] / "results.csv").read_bytes()
     assert (outs[0] / "summary.csv").read_bytes() == (outs[1] / "summary.csv").read_bytes()
+
+
+def test_eval_failed_write_keeps_previous_results(tmp_path, dataset_dir, trained_dir, monkeypatch):
+    from mstoplab import cli
+    out = tmp_path / "eval"
+    args = ["eval", "--dataset", str(dataset_dir / "dataset.jsonl"),
+            "--checkpoint", str(trained_dir / "best.ckpt"), "--strategies", "greedy",
+            "--d", "16", "--heads", "2", "--ff-dim", "32", "--enc-layers", "1", "--out", str(out)]
+    assert run_cli(args) == 0
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+
+    class Unwritable(float):
+        def __repr__(self):
+            raise OSError("no space left on device")
+
+    real, calls = cli.infer, []
+
+    def infer_fourth_unwritable(*args):
+        sol, census = real(*args)
+        calls.append(sol)
+        if len(calls) == 4:   # results.csv fails after three rows
+            sol = dataclasses.replace(sol, objective=Unwritable(sol.objective))
+        return sol, census
+
+    monkeypatch.setattr(cli, "infer", infer_fourth_unwritable)
+    assert run_cli(args) == 2
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
 
 @pytest.mark.parametrize("strategies, reference, message", [

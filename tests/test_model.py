@@ -152,6 +152,123 @@ def test_encode_rejects_terminal_state(params):
         encode_states(st, params, CFG)
 
 
+# --- shared encoding of equal rows ----------------------------------------------------
+# Untaped eval-mode calls encode each distinct row once; the taped call encodes
+# every row, so it is the reference the shortcut must match bit for bit.
+
+def assert_encoding_matches_taped(state, params):
+    fast = encode_states(state, params, CFG)
+    slow = encode_states(state, params, CFG, tape=Tape())
+    assert fast.rows.shape == slow.rows.shape and fast.graph.shape == slow.graph.shape
+    assert fast.rows.values.tobytes() == slow.rows.values.tobytes()
+    assert fast.graph.values.tobytes() == slow.graph.values.tobytes()
+    np.testing.assert_array_equal(fast.masked_rows, slow.masked_rows)
+
+
+def distinct_rows(state):
+    parts = (state.batch.rows(Instance.node_xy), state.visited, state.at, state.fuels)
+    return len({b"".join(np.ascontiguousarray(p[i]).tobytes() for p in parts)
+                for i in range(len(state))})
+
+
+def mid_rollout_states(instances, params, seed):
+    """Every non-terminal state of a sampled rollout of ``instances`` (one
+    row each, identity order), replayed step by step."""
+    orders = [tuple(range(instances[0].k))] * len(instances)
+    roll = mdl.rollout_states(instances, orders, params, CFG, mode="sample",
+                              rng=np.random.default_rng(seed))
+    state, states = env.reset(instances, orders), []
+    for col in roll.actions.T:
+        if not state.terminal.any():
+            states.append(state)
+        state = env.step(state, col, col >= 0)
+    return states
+
+
+def test_shared_encoding_matches_taped_mid_rollout(params, monkeypatch):
+    inst = generate(GenConfig.preset("mstop20", seed=31))
+    states = mid_rollout_states([inst] * 64, params, seed=4)
+    encoded, real = [], mdl._encode
+
+    def counting_encode(depot, *rest):
+        encoded.append(len(depot))
+        return real(depot, *rest)
+
+    monkeypatch.setattr(mdl, "_encode", counting_encode)
+    for state in states:
+        encoded.clear()
+        encode_states(state, params, CFG)
+        assert encoded == [distinct_rows(state)]
+    assert distinct_rows(states[0]) == 1
+    assert any(1 < distinct_rows(s) < 64 for s in states)
+    assert any((s.active_slot == 1).any() for s in states)   # past a route's end
+    for state in states:
+        assert_encoding_matches_taped(state, params)
+
+
+def test_shared_encoding_matches_taped_on_two_instance_mix(params):
+    a, b = generate(GenConfig.preset("mstop20", seed=32)), generate(GenConfig.preset("mstop20", seed=33))
+    states = mid_rollout_states([a, b, a, a, b, a, b, b], params, seed=5)
+    assert distinct_rows(states[0]) == 2
+    for state in states:
+        assert_encoding_matches_taped(state, params)
+
+
+def test_shared_encoding_matches_taped_on_distinct_rows(params):
+    insts = [generate(GenConfig.preset("mstop20", seed=40 + i)) for i in range(8)]
+    state = env.reset(insts, [(0, 1)] * 8)
+    assert distinct_rows(state) == 8
+    assert_encoding_matches_taped(state, params)
+
+
+def test_rows_differing_only_in_fuel_are_encoded_apart(params):
+    inst = generous_instance(n=4, k=2)
+    vehicles = list(inst.vehicles)
+    vehicles[0] = vehicles[0][:2] + (vehicles[0][2] - 1.0,)
+    less_fuel = dataclasses.replace(inst, vehicles=tuple(vehicles))
+    state = env.reset([inst, less_fuel, inst], [(0, 1)] * 3)
+    assert_encoding_matches_taped(state, params)
+
+
+def test_rows_differing_only_in_masked_flags_are_encoded_apart(params):
+    """A vehicle that starts on the depot and parks there at once keeps its
+    coordinates and fuel; only its masked flag changes."""
+    inst = generous_instance(n=4, k=2)
+    vehicles = ((*inst.depot, 10.0),) + inst.vehicles[1:]
+    at_depot = dataclasses.replace(inst, vehicles=vehicles)
+    state = env.reset([at_depot] * 3, [(0, 1)] * 3)
+    parked = env.step(state, [0, 0, 0], [False, True, False])
+    assert parked.done[1, 0] and not parked.done[0, 0]
+    np.testing.assert_array_equal(parked.positions[0], parked.positions[1])
+    np.testing.assert_array_equal(parked.fuels[0], parked.fuels[1])
+    assert_encoding_matches_taped(parked, params)
+
+
+def test_sampled_rollout_same_untaped_and_taped(params):
+    inst = generate(GenConfig.preset("mstop20", seed=34))
+    runs = [mdl.rollout_states([inst] * 256, [(0, 1)] * 256, params, CFG, mode="sample",
+                               rng=np.random.default_rng(9), tape=tape)
+            for tape in (None, Tape())]
+    untaped, taped = runs
+    assert untaped.actions.tobytes() == taped.actions.tobytes()
+    assert untaped.rewards.tobytes() == taped.rewards.tobytes()
+    assert untaped.logp_sum.values.tobytes() == taped.logp_sum.values.tobytes()
+    assert untaped.entropy_sum.values.tobytes() == taped.entropy_sum.values.tobytes()
+
+
+def test_batch_statistics_see_every_row(params):
+    """Batch-norm in training mode mixes rows, so equal rows must all count."""
+    inst, other = tiny_instance(seed=5), tiny_instance(seed=6)
+    state = env.reset([inst] * 6 + [other] * 2, [(0, 1)] * 8)
+    moved = []
+    for tape in (None, Tape()):
+        p = params.copy()
+        emb = encode_states(state, p, CFG, tape=tape, bn_training=True, update_stats=True)
+        moved.append(([p[name].tobytes() for name in sorted(p.stats)], emb.rows.values.tobytes()))
+    assert moved[0] == moved[1]
+    assert moved[0][0] != [params[name].tobytes() for name in sorted(params.stats)]
+
+
 # --- decoder -----------------------------------------------------------------------
 
 def test_decode_distribution_contract(params):
