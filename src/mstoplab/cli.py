@@ -394,21 +394,32 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_tokens(path, command):
-    """Turn one INI section into flag tokens (prepended, so real flags win)."""
+def _config_tokens(path, command, parser):
+    """Turn one INI section into flag tokens (prepended, so real flags win).
+    A flag that takes no value takes a configparser boolean (true/false,
+    yes/no, on/off, 1/0) and is passed only when true."""
     cp = configparser.ConfigParser()
     read = cp.read(path)
     if not read:
         raise UsageError(f"cannot read config file {path}")
     if command not in cp:
         return []
-    tokens = []
-    for key, value in cp[command].items():
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subparsers.choices.get(command)
+    switches = {opt for a in (sub._actions if sub else ()) if a.nargs == 0 for opt in a.option_strings}
+    section, tokens = cp[command], []
+    for key, value in section.items():
         flag = "--" + key.replace("_", "-")
-        if value.strip().lower() in ("true", "yes"):
-            tokens.append(flag)
-        else:
+        if flag not in switches:
             tokens.extend([flag, value])
+            continue
+        try:
+            on = section.getboolean(key)
+        except ValueError:
+            raise UsageError(f"config key '{key}' under [{command}] takes a boolean, "
+                             f"got '{value}'") from None
+        if on:
+            tokens.append(flag)
     return tokens
 
 
@@ -419,10 +430,10 @@ def main(argv=None) -> int:
         pre = _Parser(add_help=False)
         pre.add_argument("--config", default=None)
         known, rest = pre.parse_known_args(argv)
+        parser = build_parser()
         if known.config and rest:
             command = rest[0]
-            rest = [command] + _config_tokens(known.config, command) + rest[1:]
-        parser = build_parser()
+            rest = [command] + _config_tokens(known.config, command, parser) + rest[1:]
         args = parser.parse_args((["--config", known.config] if known.config else []) + rest)
         return args.func(args)
     except UsageError as err:

@@ -19,6 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .checkpoint import atomic_write
+
 DATASET_VERSION = 1
 
 # The eight isometries of the unit square, in fixed enumeration order; the
@@ -259,7 +261,9 @@ def _from_record(rec: dict) -> Instance:
 
 
 def save_dataset(instances, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write one JSON record per line with :func:`checkpoint.atomic_write`,
+    so a write that fails partway leaves the previous file intact."""
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for inst in instances:
             fh.write(json.dumps(_record(inst), separators=(",", ":")) + "\n")
 

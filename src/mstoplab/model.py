@@ -9,7 +9,11 @@ vehicle sees: visited nodes are masked out and the next vehicle starts
 somewhere else. Without a tape and with eval-mode batch-norm every encoder op
 acts on each row alone, so rows with equal encoder inputs share one encoding:
 the rows of a sampling or permutation rollout are encoded once in the first
-route, and a taped (training) call encodes every row.
+route. Every decoder op acts on each row alone too, so an untaped rollout
+decodes one row per distinct open partial route (encoded row, active vehicle
+and actions so far) and drops rows whose route has ended; each batch row
+still draws its own action. A taped (training) call encodes and decodes
+every row.
 
 The decoder builds one action distribution per step:
 
@@ -183,9 +187,10 @@ def positional_encoding(t_dec: int, d: int) -> np.ndarray:
 
 @dataclass
 class Embeddings:
-    rows: Tensor            # (B, 1+n+K, d) depot, customers, vehicles
-    graph: Tensor           # (B, 1, d) mean over unmasked rows
-    masked_rows: np.ndarray  # (B, 1+n+K) bool: visited customers, parked vehicles
+    rows: Tensor            # (E, 1+n+K, d) depot, customers, vehicles of each encoded row
+    graph: Tensor           # (E, 1, d) mean over unmasked rows
+    masked_rows: np.ndarray  # (E, 1+n+K) bool: visited customers, parked vehicles
+    source: np.ndarray      # (B,) encoded row of each state row
     n: int
     k: int
 
@@ -254,9 +259,10 @@ def encode_states(state: env.State, params: DdtmParameters, cfg: DdtmConfig, *,
 
     Untaped and with eval-mode batch-norm, every encoder op acts on each row
     alone, so rows with equal inputs get equal encodings: each distinct row
-    is encoded once and its encoding copied to the rows equal to it (the
-    rows of a sampling or permutation rollout share one state in slot 0).
-    A taped call or one with batch statistics encodes every row.
+    is encoded once, and ``source`` maps every state row to its encoded row
+    (the rows of a sampling or permutation rollout share one state in slot
+    0). A taped call or one with batch statistics encodes every row, and
+    ``source`` is the identity.
     """
     if state.terminal.any():
         raise env.EnvError("cannot encode a terminal state")
@@ -269,7 +275,7 @@ def encode_states(state: env.State, params: DdtmParameters, cfg: DdtmConfig, *,
     masked = np.concatenate([np.zeros((b, 1), dtype=bool), state.visited, state.done], axis=1)
     bind = _Binding(params, tape) if not isinstance(params, _Binding) else params
 
-    encoded, inverse = slice(None), None
+    encoded, source = slice(None), np.arange(b)
     if bind.tape is None and not bn_training:
         key = np.concatenate([depot.reshape(b, -1), cust.reshape(b, -1), veh.reshape(b, -1), masked],
                              axis=1)
@@ -278,22 +284,29 @@ def encode_states(state: env.State, params: DdtmParameters, cfg: DdtmConfig, *,
                           np.intp, b)
         if len(first) < b:
             encoded = np.fromiter(first.values(), np.intp, len(first))
-            inverse = np.searchsorted(encoded, src)
+            source = np.searchsorted(encoded, src)
     rows, graph = _encode(depot[encoded], cust[encoded], veh[encoded], masked[encoded], bind, cfg,
                           bn_training, update_stats)
-    if inverse is not None:
-        rows, graph = ad.constant(rows.values[inverse]), ad.constant(graph.values[inverse])
-    return Embeddings(rows=rows, graph=graph, masked_rows=masked, n=n, k=k)
+    return Embeddings(rows=rows, graph=graph, masked_rows=masked[encoded], source=source, n=n, k=k)
 
 
 class RouteDecoder:
     """Per-partial-route decoding context.
 
-    Holds the per-layer history of context rows for this route, the current
-    node embedding (initialized to the active vehicle's row), and the
-    per-route projections of the encoder output that stay fixed while the
-    route is being built. ``params`` is the binding of a taped rollout, or
-    plain parameters for an untaped decode.
+    Holds, per decoded row, the per-layer history of context rows for this
+    route, the current node embedding (initialized to the active vehicle's
+    row), and the per-route projections of the encoder output that stay
+    fixed while the route is being built. ``params`` is the binding of a
+    taped rollout, or plain parameters for an untaped decode.
+
+    A taped decoder decodes every state row at every step, finished routes
+    included, so the tape holds one row per trajectory. An untaped one
+    decodes one row per group: the open state rows with the same encoded
+    row, active vehicle and actions so far in this route, whose inputs to
+    every op are equal. Rows that choose the depot leave it. ``group`` maps
+    each state row to its decoded row (-1 once it has left) and ``lead``
+    names one state row of each group, whose fuel and action mask ``step``
+    takes.
     """
 
     def __init__(self, emb: Embeddings, params, cfg: DdtmConfig, vehicle_ids: np.ndarray):
@@ -303,25 +316,34 @@ class RouteDecoder:
         self.n = emb.n
         self.t_dec = 0
         self.hist = [[] for _ in range(cfg.decoder_layers)]
+        self.shared = bind.tape is None
+        if self.shared and len(emb.rows.values) < len(vehicle_ids):
+            keys, self.lead, self.group = np.unique(emb.source * emb.k + vehicle_ids,
+                                                    return_index=True, return_inverse=True)
+            self.src, vehicle_ids = np.divmod(keys, emb.k)
+            rows, graph = ad.constant(emb.rows.values[self.src]), ad.constant(emb.graph.values[self.src])
+        else:   # every row has its own encoding (``source`` is the identity)
+            self.src = self.lead = self.group = emb.source
+            rows, graph = emb.rows, emb.graph
         row_idx = emb.n + 1 + vehicle_ids
-        node_part = ad.take_rows(emb.rows, list(range(emb.n + 1)))
-        veh_part = ad.gather_rows(emb.rows, row_idx)
-        h_node = ad.concat([node_part, veh_part], axis=-2)          # (B, n+2, d)
+        node_part = ad.take_rows(rows, list(range(emb.n + 1)))
+        veh_part = ad.gather_rows(rows, row_idx)
+        h_node = ad.concat([node_part, veh_part], axis=-2)          # (G, n+2, d)
         self.kv_att = []
         for l in range(cfg.decoder_layers):
             self.kv_att.append((
                 _split_heads(ad.matmul(h_node, bind(f"dec{l}_att_wk")), cfg.heads),
                 _split_heads(ad.matmul(h_node, bind(f"dec{l}_att_wv")), cfg.heads),
             ))
-        self.k_final = ad.matmul(node_part, bind("final_wk"))       # (B, n+1, d)
-        self.graph_q = ad.matmul(emb.graph, bind("graph_proj_w"))   # (B, 1, d)
-        self.cur_rows = veh_part                                    # (B, 1, d)
+        self.k_final = ad.matmul(node_part, bind("final_wk"))       # (G, n+1, d)
+        self.graph_q = ad.matmul(graph, bind("graph_proj_w"))       # (G, 1, d)
+        self.cur_rows = veh_part                                    # (G, 1, d)
 
     def step(self, fuels: np.ndarray, action_mask_add: np.ndarray):
         """Log-probabilities over [depot, customers] for the current step.
 
-        ``fuels`` is (B,) current fuel of the active vehicles; the additive
-        action mask is (B, n+1) with 0 for feasible entries.
+        ``fuels`` is (G,) current fuel of the decoded rows' active vehicles;
+        the additive action mask is (G, n+1) with 0 for feasible entries.
         """
         cfg, bind = self.cfg, self.bind
         b = fuels.shape[0]
@@ -339,16 +361,44 @@ class RouteDecoder:
             x = _attention(x, k_att, v_att, bind(f"dec{l}_att_wq"), bind(f"dec{l}_att_wout"),
                            cfg.heads, key_mask)
             self.hist[l].append(x_in)
-        q = ad.matmul(ad.add(x, self.graph_q), bind("final_wq"))    # (B, 1, d)
+        q = ad.matmul(ad.add(x, self.graph_q), bind("final_wq"))    # (G, 1, d)
         raw = ad.scale(ad.matmul(q, self.k_final, transpose_b=True), 1.0 / math.sqrt(cfg.d))
         logits = ad.reshape(ad.scale(ad.tanh(raw), LOGIT_CLAMP), (b, self.n + 1))
         return ad.log_softmax(logits, mask=action_mask_add)
 
     def advance(self, actions: np.ndarray):
-        """Move to the next decode step: the chosen node becomes the current node."""
-        row_idx = np.where(actions >= 1, actions, 0)
-        self.cur_rows = ad.gather_rows(self.emb.rows, row_idx)
+        """Move to the next decode step: each state row's chosen node (one
+        action per state row) becomes its current node. Untaped, the rows
+        that chose the depot leave, and the next groups are the distinct
+        (group, action) pairs of the rows that stay."""
         self.t_dec += 1
+        if not self.shared:
+            self.cur_rows = ad.gather_rows(self.emb.rows, np.where(actions >= 1, actions, 0))
+            return
+        member = self.group >= 0
+        stay = np.flatnonzero(member & (actions != 0))
+        if not stay.size:
+            self.group = np.full_like(self.group, -1)
+            return
+        if len(self.lead) == np.count_nonzero(member):
+            # one row per group, so none splits: the rows that stay keep theirs
+            parent, nodes, first, inverse = self.group[stay], actions[stay], slice(None), np.arange(len(stay))
+        else:
+            keys, first, inverse = np.unique(self.group[stay] * (self.n + 1) + actions[stay],
+                                             return_index=True, return_inverse=True)
+            parent, nodes = np.divmod(keys, self.n + 1)
+        if not np.array_equal(parent, np.arange(len(self.lead))):
+            # one index per tensor narrows or repeats the decoded rows; the
+            # history collapses into one tensor per layer first
+            take = lambda values: ad.constant(values[parent])
+            self.kv_att = [(take(k.values), take(v.values)) for k, v in self.kv_att]
+            self.k_final, self.graph_q = take(self.k_final.values), take(self.graph_q.values)
+            self.hist = [[take(np.concatenate([x.values for x in h], axis=-2))] for h in self.hist]
+        self.group = np.full_like(self.group, -1)
+        self.group[stay] = inverse
+        self.lead = stay[first]
+        self.src = self.src[parent]
+        self.cur_rows = ad.constant(self.emb.rows.values[self.src, nodes][:, None, :])
 
 
 @dataclass
@@ -366,12 +416,18 @@ class BatchRollout:
                                      self.logp_sum.values[i])
 
 
-def _sample_rows(probs: np.ndarray, rng) -> np.ndarray:
+def _sample_rows(probs: np.ndarray, group: np.ndarray, rng) -> np.ndarray:
+    """One draw for every state row from the distribution of its decoded row
+    ``group[i]``; the generator gives one number per state row."""
     cum = np.cumsum(probs, axis=1)
-    u = rng.random(probs.shape[0])
-    idx = (u[:, None] > cum).sum(axis=1)
+    u = rng.random(group.shape[0])
+    idx = (u[:, None] > cum[group]).sum(axis=1)
     last_ok = np.where(probs > 0, np.arange(probs.shape[1])[None, :], -1).max(axis=1)
-    return np.minimum(idx, last_ok)
+    return np.minimum(idx, last_ok[group])
+
+
+def _entropy(logp: Tensor) -> Tensor:
+    return ad.scale(ad.tsum(ad.mul(ad.exp(logp), logp), axis=-1), -1.0)
 
 
 def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
@@ -382,10 +438,13 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
     Every vehicle slot is decoded jointly: rows whose route already ended
     keep only the depot feasible, so their point-mass distribution adds
     exactly zero log-probability, entropy and gradient to the returned sums,
-    and the environment leaves them unchanged until the slot ends. Greedy
-    mode breaks probability ties toward the lowest node index. Replay mode
-    takes ``forced_actions`` as the (B, T) action record of an earlier
-    rollout of the same instances and orders.
+    and the environment leaves them unchanged until the slot ends. Untaped,
+    those rows leave the decoder and the open rows are decoded once per
+    group (see :class:`RouteDecoder`); each row still takes its own action
+    and adds its own terms to the sums. Greedy mode breaks probability ties
+    toward the lowest node index. Replay mode takes ``forced_actions`` as
+    the (B, T) action record of an earlier rollout of the same instances
+    and orders.
     """
     if mode not in ("greedy", "sample", "replay"):
         raise ValueError(f"unknown rollout mode '{mode}'")
@@ -409,22 +468,30 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
         dec = RouteDecoder(emb, bind, cfg, state.orders[:, slot])
         open_rows = np.ones(b, dtype=bool)
         while open_rows.any():
-            mask_add = np.where(env.feasible_mask(state, open_rows), 0.0, NEG_INF)
-            logp = dec.step(state.fuel, mask_add)
+            lead = dec.lead
+            mask_add = np.where(env.feasible_mask(state, open_rows)[lead], 0.0, NEG_INF)
+            logp = dec.step(state.fuel[lead], mask_add)
             probs = np.exp(logp.values)
             if not np.isfinite(probs).all():
                 raise ad.NonFiniteError("decode produced non-finite action probabilities")
+            # rows that left the decoder (group -1) are set to the depot below
             if mode == "greedy":
-                actions = probs.argmax(axis=1)
+                actions = probs.argmax(axis=1)[dec.group]
             elif mode == "sample":
-                actions = _sample_rows(probs, rng)
+                actions = _sample_rows(probs, dec.group, rng)
             elif len(record) < forced.shape[1]:
                 actions = forced[:, len(record)]
             else:
                 raise ValueError("forced actions end before the rollout does")
             actions = np.where(open_rows, actions, 0)
-            chosen = ad.gather_last(logp, actions)
-            ent = ad.scale(ad.tsum(ad.mul(ad.exp(logp), logp), axis=-1), -1.0)
+            if dec.shared:
+                # a finished row adds what its point mass at the depot would:
+                # log-probability 0.0 and entropy -0.0
+                chosen = ad.constant(np.where(open_rows, logp.values[dec.group, actions], 0.0))
+                ent = ad.constant(np.where(open_rows, _entropy(logp).values[dec.group], -0.0))
+            else:
+                chosen = ad.gather_last(logp, actions)
+                ent = _entropy(logp)
             logp_acc = chosen if logp_acc is None else ad.add(logp_acc, chosen)
             ent_acc = ent if ent_acc is None else ad.add(ent_acc, ent)
             ent_value_total += float(ent.values.sum())

@@ -64,6 +64,14 @@ class TrainConfig:
             raise ValueError(f"baseline must be one of {BASELINES}, got '{self.baseline}'")
         if self.alpha < 0 or self.batch < 1 or self.epochs < 0 or self.steps_per_epoch < 1:
             raise ValueError(f"invalid training config: {self}")
+        # each of these trains silently wrong: a negative clip factor makes Adam
+        # climb the loss, and with no validation instances best.ckpt never moves
+        if not self.lr > 0:
+            raise ValueError(f"learning rate must be positive, got {self.lr}")
+        if not self.clip_norm >= 0:
+            raise ValueError(f"clip norm must be >= 0 (0 disables clipping), got {self.clip_norm}")
+        if self.validation_size < 1:
+            raise ValueError(f"validation size must be at least 1, got {self.validation_size}")
         if self.batch % self.k_aug:
             raise ValueError(f"batch {self.batch} not divisible by augmentation factor {self.k_aug}")
 

@@ -299,6 +299,22 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert run_cli(["--config", str(cfg), "generate", "--count", "3", "--out", str(out2)]) == 0
     assert len(load_dataset(out2 / "dataset.jsonl")) == 3
 
+    # a flag without a value takes a configparser boolean; brute force at n=9 needs --force
+    gen = tmp_path / "n9"
+    assert run_cli(["generate", "--n", "9", "--k", "2", "--t-max", "1.5", "--count", "1",
+                    "--seed", "4", "--out", str(gen)]) == 0
+    solve = ["solve", "--dataset", str(gen / "dataset.jsonl"), "--method", "brute", "--workers", "1"]
+    for value, code, message in (("false", 1, "capped at n <= 8"), ("true", 0, "method=brute"),
+                                 ("maybe", 1, "'force' under [solve] takes a boolean, got 'maybe'")):
+        cfg.write_text(f"[solve]\nforce = {value}\n")
+        out = tmp_path / f"solve_{value}"
+        capsys.readouterr()
+        assert run_cli(["--config", str(cfg), *solve, "--out", str(out)]) == code
+        assert message in "".join(capsys.readouterr())
+        assert (out / "results.jsonl").exists() == (code == 0)
+    cfg.write_text("[solve]\nforce = false\n")
+    assert run_cli(["--config", str(cfg), *solve, "--force", "--out", str(tmp_path / "flag")]) == 0
+
 
 def test_output_root_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("MSTOPLAB_OUT_ROOT", str(tmp_path))
@@ -309,3 +325,14 @@ def test_output_root_env_var(tmp_path, monkeypatch):
 
 def test_unknown_flag_is_usage_error(tmp_path):
     assert run_cli(["generate", "--nope", "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--lr", "0"), ("--lr", "-1e-4"), ("--clip-norm", "-1"),
+                                         ("--val-size", "0")])
+def test_train_rejects_config_that_trains_wrong(tmp_path, capsys, flag, value):
+    out = tmp_path / "run"
+    assert run_cli(["train", "--n", "5", "--k", "2", "--t-max", "1.5", "--epochs", "1",
+                    "--steps", "1", "--batch", "16", "--val-size", "8", f"{flag}={value}",
+                    "--out", str(out)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()

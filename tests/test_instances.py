@@ -141,6 +141,27 @@ def test_dataset_roundtrip_exact(tmp_path):
     assert loaded == instances  # field-for-field, including seeds
 
 
+def test_dataset_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    from mstoplab import instances as inst_mod
+    path = tmp_path / "dataset.jsonl"
+    save_dataset(generate_many(GenConfig(n=4, k=2, t_max=1.5, seed=3), 3), path)
+    before = path.read_bytes()
+    real_record, written = inst_mod._record, []
+
+    def fail_on_third(inst):
+        if len(written) == 2:
+            raise OSError("disk full")
+        written.append(inst)
+        return real_record(inst)
+
+    monkeypatch.setattr(inst_mod, "_record", fail_on_third)
+    with pytest.raises(OSError, match="disk full"):
+        save_dataset(generate_many(GenConfig(n=4, k=2, t_max=1.5, seed=4), 3), path)
+    assert len(written) == 2
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["dataset.jsonl"]
+
+
 def test_dataset_truncated_line_reports_line_number(tmp_path):
     instances = generate_many(GenConfig(n=4, k=2, t_max=1.5, seed=3), 3)
     path = tmp_path / "data.jsonl"

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from mstoplab import env
 from mstoplab import model as mdl
 from mstoplab.autodiff import NEG_INF, Tape
-from mstoplab.instances import GenConfig, Instance, generate
+from mstoplab.instances import N_SYMMETRIES, GenConfig, Instance, apply_symmetry, generate
 from mstoplab.model import (LOGIT_CLAMP, DdtmConfig, DdtmParameters, RouteDecoder,
                             encode_states, parameter_schema, positional_encoding)
 from mstoplab.oracle import solve_exact
@@ -159,16 +160,21 @@ def test_encode_rejects_terminal_state(params):
 def assert_encoding_matches_taped(state, params):
     fast = encode_states(state, params, CFG)
     slow = encode_states(state, params, CFG, tape=Tape())
-    assert fast.rows.shape == slow.rows.shape and fast.graph.shape == slow.graph.shape
-    assert fast.rows.values.tobytes() == slow.rows.values.tobytes()
-    assert fast.graph.values.tobytes() == slow.graph.values.tobytes()
-    np.testing.assert_array_equal(fast.masked_rows, slow.masked_rows)
+    np.testing.assert_array_equal(slow.source, np.arange(len(state)))
+    assert len(fast.source) == len(state) and len(fast.rows.values) == len(np.unique(fast.source))
+    assert fast.rows.values[fast.source].tobytes() == slow.rows.values.tobytes()
+    assert fast.graph.values[fast.source].tobytes() == slow.graph.values.tobytes()
+    np.testing.assert_array_equal(fast.masked_rows[fast.source], slow.masked_rows)
+
+
+def row_keys(state):
+    """Per row, the bytes of what its encoder inputs are built from."""
+    parts = (state.batch.rows(Instance.node_xy), state.visited, state.at, state.fuels)
+    return [b"".join(np.ascontiguousarray(p[i]).tobytes() for p in parts) for i in range(len(state))]
 
 
 def distinct_rows(state):
-    parts = (state.batch.rows(Instance.node_xy), state.visited, state.at, state.fuels)
-    return len({b"".join(np.ascontiguousarray(p[i]).tobytes() for p in parts)
-                for i in range(len(state))})
+    return len(set(row_keys(state)))
 
 
 def mid_rollout_states(instances, params, seed):
@@ -244,16 +250,92 @@ def test_rows_differing_only_in_masked_flags_are_encoded_apart(params):
     assert_encoding_matches_taped(parked, params)
 
 
-def test_sampled_rollout_same_untaped_and_taped(params):
-    inst = generate(GenConfig.preset("mstop20", seed=34))
-    runs = [mdl.rollout_states([inst] * 256, [(0, 1)] * 256, params, CFG, mode="sample",
-                               rng=np.random.default_rng(9), tape=tape)
-            for tape in (None, Tape())]
-    untaped, taped = runs
+def assert_rollout_matches_taped(instances, orders, params, seed=None, **kw):
+    """The untaped rollout (grouped decoding) against the taped one, which
+    decodes every row, bit for bit; ``seed`` seeds a sampling rollout."""
+    untaped, taped = [mdl.rollout_states(instances, orders, params, CFG, tape=tape,
+                                         rng=None if seed is None else np.random.default_rng(seed),
+                                         **kw)
+                      for tape in (None, Tape())]
     assert untaped.actions.tobytes() == taped.actions.tobytes()
     assert untaped.rewards.tobytes() == taped.rewards.tobytes()
     assert untaped.logp_sum.values.tobytes() == taped.logp_sum.values.tobytes()
     assert untaped.entropy_sum.values.tobytes() == taped.entropy_sum.values.tobytes()
+    assert untaped.mean_step_entropy == taped.mean_step_entropy
+    return untaped
+
+
+def test_sampled_rollout_same_untaped_and_taped(params):
+    inst = generate(GenConfig.preset("mstop20", seed=34))
+    assert_rollout_matches_taped([inst] * 256, [(0, 1)] * 256, params, mode="sample", seed=9)
+
+    # greedy over every vehicle order: rows share an encoding but not a vehicle
+    three = generate(GenConfig(n=8, k=3, t_max=2.0, prize_mode="uniform", seed=35))
+    perms = list(itertools.permutations(range(3)))
+    assert_rollout_matches_taped([three] * len(perms), perms, params, mode="greedy")
+
+    # forced actions that split groups: rows that share a prefix part ways
+    sampled = mdl.rollout_states([three] * 32, [(0, 1, 2)] * 32, params, CFG, mode="sample",
+                                 rng=np.random.default_rng(10))
+    assert len({tuple(row) for row in sampled.actions[:, :2]}) < 32
+    assert len({tuple(row) for row in sampled.actions}) > 1
+    replayed = assert_rollout_matches_taped([three] * 32, [(0, 1, 2)] * 32, params, mode="replay",
+                                            forced_actions=sampled.actions)
+    assert replayed.actions.tobytes() == sampled.actions.tobytes()
+
+    # a perm-aug batch: eight symmetric instances under two vehicle orders
+    symmetric = [apply_symmetry(inst, s) for s in range(N_SYMMETRIES)]
+    assert_rollout_matches_taped(symmetric * 2, [(0, 1)] * 8 + [(1, 0)] * 8, params, mode="greedy")
+
+
+def expected_groups(instances, orders, actions):
+    """Rows decoded at each step of a rollout with this action record: the
+    distinct (slot-start state, active vehicle, actions so far in the slot)
+    over the open rows. A route's rows start from one encoded row exactly
+    when their slot-start states are equal."""
+    state, counts = env.reset(instances, orders), []
+    open_rows = np.zeros(len(state), dtype=bool)
+    for col in actions.T:
+        if not open_rows.any():      # a vehicle slot starts: every row routes its next vehicle
+            key = [(row, int(v)) for row, v in zip(row_keys(state), state.active_vehicle)]
+            open_rows = np.ones(len(state), dtype=bool)
+        counts.append(len({key[i] for i in np.flatnonzero(open_rows)}))
+        state = env.step(state, col, col >= 0)
+        for i in np.flatnonzero(open_rows):
+            key[i] += (int(col[i]),)
+        open_rows &= col > 0
+    return counts
+
+
+def test_untaped_decoder_decodes_each_open_group_once(params, monkeypatch):
+    decoded, real = [], RouteDecoder.step
+
+    def counting_step(self, fuels, action_mask_add):
+        decoded.append(fuels.shape[0])
+        return real(self, fuels, action_mask_add)
+
+    monkeypatch.setattr(RouteDecoder, "step", counting_step)
+    inst = generate(GenConfig.preset("mstop20", seed=36))
+    roll = mdl.rollout_states([inst] * 64, [(0, 1)] * 64, params, CFG, mode="sample",
+                              rng=np.random.default_rng(11))
+    counts = expected_groups([inst] * 64, [(0, 1)] * 64, roll.actions)
+    assert decoded == counts
+    assert counts[0] == 1 and 1 < max(counts) < 64
+    assert sum(counts) < (roll.actions >= 0).sum()     # rows on one partial route share a row
+
+    # every vehicle order of one instance: one decoded row per vehicle at the start
+    three = generate(GenConfig(n=8, k=3, t_max=2.0, prize_mode="uniform", seed=35))
+    perms = list(itertools.permutations(range(3)))
+    decoded.clear()
+    roll = mdl.rollout_states([three] * len(perms), perms, params, CFG, mode="greedy")
+    counts = expected_groups([three] * len(perms), perms, roll.actions)
+    assert decoded == counts and counts[0] == 3
+
+    # a taped rollout decodes every row at every step
+    decoded.clear()
+    roll = mdl.rollout_states([inst] * 64, [(0, 1)] * 64, params, CFG, mode="sample",
+                              rng=np.random.default_rng(11), tape=Tape())
+    assert decoded == [64] * roll.actions.shape[1]
 
 
 def test_batch_statistics_see_every_row(params):

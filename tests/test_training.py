@@ -106,6 +106,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(baseline="instance-aug", batch=12).validate()
     TrainConfig(baseline="greedy-rollout", batch=12).validate()
+    # values that would train silently wrong
+    for bad in (dict(lr=0.0), dict(lr=-1e-4), dict(lr=float("nan")), dict(clip_norm=-0.5),
+                dict(clip_norm=float("nan")), dict(validation_size=0)):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad).validate()
+    TrainConfig(clip_norm=0.0, validation_size=1).validate()   # 0 disables clipping
 
 
 def test_augmentation_factor_follows_baseline():
