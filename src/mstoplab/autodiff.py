@@ -390,50 +390,19 @@ def _op_transpose(vals, attrs, needs):
     return x.transpose(axes), lambda g: (g.transpose(inv),)
 
 
-def _op_take_rows(vals, attrs, needs):
-    # Static row selection along axis -2, shared across leading dims.
+def _op_take(vals, attrs, needs):
+    # Row selection x[index] by a tuple of slices and integer arrays; repeated
+    # indices add their gradients.
     (x,) = vals
-    idx = np.asarray(attrs["indices"], dtype=np.intp)
-    if idx.ndim != 1 or x.ndim < 2:
-        raise ShapeMismatchError("take_rows", f"need 1-D indices and >=2-D input, got {idx.shape}, {x.shape}")
-    out = np.take(x, idx, axis=-2)
+    index = attrs["index"]
+    try:
+        out = x[index]
+    except IndexError as exc:
+        raise ShapeMismatchError("take", f"index does not fit shape {x.shape}: {exc}")
 
     def backward(g):
         gx = np.zeros_like(x)
-        np.add.at(np.moveaxis(gx, -2, 0), idx, np.moveaxis(g, -2, 0))
-        return (gx,)
-
-    return out, backward
-
-
-def _op_gather_rows(vals, attrs, needs):
-    # Per-batch-element single-row selection: x (B, R, d), idx (B,) -> (B, 1, d).
-    (x,) = vals
-    idx = np.asarray(attrs["indices"], dtype=np.intp)
-    if x.ndim != 3 or idx.shape != (x.shape[0],):
-        raise ShapeMismatchError("gather_rows", f"need x (B,R,d) and idx (B,), got {x.shape}, {idx.shape}")
-    batch = np.arange(x.shape[0])
-    out = x[batch, idx][:, None, :]
-
-    def backward(g):
-        gx = np.zeros_like(x)
-        np.add.at(gx, (batch, idx), g[:, 0, :])
-        return (gx,)
-
-    return out, backward
-
-
-def _op_gather_last(vals, attrs, needs):
-    # Per-batch-element scalar pick along the last axis: x (..., A), idx matching x[..., 0].
-    (x,) = vals
-    idx = np.asarray(attrs["indices"], dtype=np.intp)
-    if idx.shape != x.shape[:-1]:
-        raise ShapeMismatchError("gather_last", f"indices {idx.shape} must match leading shape of {x.shape}")
-    out = np.take_along_axis(x, idx[..., None], axis=-1)[..., 0]
-
-    def backward(g):
-        gx = np.zeros_like(x)
-        np.put_along_axis(gx, idx[..., None], g[..., None], axis=-1)
+        np.add.at(gx, index, g)
         return (gx,)
 
     return out, backward
@@ -454,9 +423,7 @@ OP_KINDS = {
     "batchnorm": _op_batchnorm,
     "reshape": _op_reshape,
     "transpose": _op_transpose,
-    "take_rows": _op_take_rows,
-    "gather_rows": _op_gather_rows,
-    "gather_last": _op_gather_last,
+    "take": _op_take,
 }
 
 
@@ -556,13 +523,5 @@ def transpose(x, axes):
     return forward("transpose", [x], {"axes": axes})
 
 
-def take_rows(x, indices):
-    return forward("take_rows", [x], {"indices": indices})
-
-
-def gather_rows(x, indices):
-    return forward("gather_rows", [x], {"indices": indices})
-
-
-def gather_last(x, indices):
-    return forward("gather_last", [x], {"indices": indices})
+def take(x, index):
+    return forward("take", [x], {"index": index})

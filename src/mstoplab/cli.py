@@ -29,7 +29,7 @@ from .inference import InferConfig, infer
 from .instances import (DATASET_VERSION, GenConfig, PRESETS, PRIZE_MODES,
                         generate_many, load_dataset, save_dataset)
 from .model import DdtmConfig, DdtmParameters
-from .oracle import TsiliParams, brute_force_enum, solve_exact, tsili_solve, verify
+from .oracle import TsiliParams, brute_force_enum, solve_exact, tsili_solve
 from .training import TrainConfig, metrics_rows, train
 
 EXACT_N_LIMIT = 12
@@ -274,9 +274,6 @@ def cmd_eval(args) -> int:
         rows = []
         for i, inst in enumerate(instances):
             sol, census = infer(inst, params, model_cfg, icfg)
-            report = verify(inst, sol)
-            if not report.ok:
-                raise RuntimeError(f"instance {i}, strategy {strategy}: {report.first_violation}")
             rows.append((i, sol.objective, census.count, sol.routes))
         per_strategy[strategy] = rows
         times[strategy] = time.perf_counter() - t0

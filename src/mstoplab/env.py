@@ -55,8 +55,6 @@ class Batch:
 
     def rows(self, view) -> np.ndarray:
         """``view(instance)`` for every row, as one (B, ...) array."""
-        if len(self.instances) == 1:
-            return view(self.instances[0])[None]
         arr = self._rows.get(view)
         if arr is None:
             if self.same:
@@ -254,10 +252,10 @@ def step(state: State, actions, rows=None) -> State:
 def replay(instances, orders, actions):
     """Drive the environment with fixed actions (no policy).
 
-    ``actions`` is one action sequence for one instance, or a (B, T) record
-    for B rows holding -1 where a row does not act (the record a batch
-    rollout returns). Returns one :class:`Trajectory`, or a list with one per
-    row; log-probabilities are recorded as zero.
+    ``instances`` and ``orders`` are lists with one entry per row, and
+    ``actions`` is a (B, T) record holding -1 where a row does not act (the
+    record a batch rollout returns). Returns a list with one
+    :class:`Trajectory` per row; log-probabilities are recorded as zero.
     """
     state = reset(instances, orders)
     record = np.array(actions, dtype=np.intp).reshape(len(state), -1)
@@ -266,5 +264,4 @@ def replay(instances, orders, actions):
     if not state.terminal.all():
         raise EnvError("action sequence does not reach a terminal state")
     rewards = state.collected.sum(axis=1)
-    trajs = [Trajectory.of_row(*row) for row in zip(state.orders, record, rewards)]
-    return trajs[0] if state.batch.single else trajs
+    return [Trajectory.of_row(*row) for row in zip(state.orders, record, rewards)]

@@ -26,6 +26,10 @@ The decoder builds one action distribution per step:
           the context (plus a projection of the graph embedding), masked and
           softmaxed into action probabilities.
 
+The decoder reads encoder rows (the depot, customer and active vehicle rows
+when a route starts, the chosen node's row after each step) with one
+``take`` op, taped and untaped alike.
+
 Masking is additive (large-negative logits) throughout, so masked actions get
 probability exactly zero. All rollouts are deterministic given parameters,
 instance, vehicle order, mode, and seed.
@@ -189,7 +193,6 @@ def positional_encoding(t_dec: int, d: int) -> np.ndarray:
 class Embeddings:
     rows: Tensor            # (E, 1+n+K, d) depot, customers, vehicles of each encoded row
     graph: Tensor           # (E, 1, d) mean over unmasked rows
-    masked_rows: np.ndarray  # (E, 1+n+K) bool: visited customers, parked vehicles
     source: np.ndarray      # (B,) encoded row of each state row
     n: int
     k: int
@@ -287,7 +290,7 @@ def encode_states(state: env.State, params: DdtmParameters, cfg: DdtmConfig, *,
             source = np.searchsorted(encoded, src)
     rows, graph = _encode(depot[encoded], cust[encoded], veh[encoded], masked[encoded], bind, cfg,
                           bn_training, update_stats)
-    return Embeddings(rows=rows, graph=graph, masked_rows=masked[encoded], source=source, n=n, k=k)
+    return Embeddings(rows=rows, graph=graph, source=source, n=n, k=k)
 
 
 class RouteDecoder:
@@ -306,7 +309,9 @@ class RouteDecoder:
     every op are equal. Rows that choose the depot leave it. ``group`` maps
     each state row to its decoded row (-1 once it has left) and ``lead``
     names one state row of each group, whose fuel and action mask ``step``
-    takes.
+    takes. ``src`` is the encoded row of each decoded row (the identity when
+    taped), and every row the decoder reads from ``emb.rows`` is a ``take``
+    at ``(src, ...)``.
     """
 
     def __init__(self, emb: Embeddings, params, cfg: DdtmConfig, vehicle_ids: np.ndarray):
@@ -321,13 +326,12 @@ class RouteDecoder:
             keys, self.lead, self.group = np.unique(emb.source * emb.k + vehicle_ids,
                                                     return_index=True, return_inverse=True)
             self.src, vehicle_ids = np.divmod(keys, emb.k)
-            rows, graph = ad.constant(emb.rows.values[self.src]), ad.constant(emb.graph.values[self.src])
+            graph = ad.take(emb.graph, (self.src,))
         else:   # every row has its own encoding (``source`` is the identity)
             self.src = self.lead = self.group = emb.source
-            rows, graph = emb.rows, emb.graph
-        row_idx = emb.n + 1 + vehicle_ids
-        node_part = ad.take_rows(rows, list(range(emb.n + 1)))
-        veh_part = ad.gather_rows(rows, row_idx)
+            graph = emb.graph
+        node_part = ad.take(emb.rows, (self.src, slice(emb.n + 1)))
+        veh_part = ad.take(emb.rows, (self.src[:, None], emb.n + 1 + vehicle_ids[:, None]))
         h_node = ad.concat([node_part, veh_part], axis=-2)          # (G, n+2, d)
         self.kv_att = []
         for l in range(cfg.decoder_layers):
@@ -372,33 +376,32 @@ class RouteDecoder:
         that chose the depot leave, and the next groups are the distinct
         (group, action) pairs of the rows that stay."""
         self.t_dec += 1
-        if not self.shared:
-            self.cur_rows = ad.gather_rows(self.emb.rows, np.where(actions >= 1, actions, 0))
-            return
-        member = self.group >= 0
-        stay = np.flatnonzero(member & (actions != 0))
-        if not stay.size:
+        nodes = actions
+        if self.shared:
+            member = self.group >= 0
+            stay = np.flatnonzero(member & (actions != 0))
+            if not stay.size:
+                self.group = np.full_like(self.group, -1)
+                return
+            if len(self.lead) == np.count_nonzero(member):
+                # one row per group, so none splits: the rows that stay keep theirs
+                parent, nodes, first, inverse = self.group[stay], actions[stay], slice(None), np.arange(len(stay))
+            else:
+                keys, first, inverse = np.unique(self.group[stay] * (self.n + 1) + actions[stay],
+                                                 return_index=True, return_inverse=True)
+                parent, nodes = np.divmod(keys, self.n + 1)
+            if not np.array_equal(parent, np.arange(len(self.lead))):
+                # one index per tensor narrows or repeats the decoded rows; the
+                # history collapses into one tensor per layer first
+                take = lambda values: ad.constant(values[parent])
+                self.kv_att = [(take(k.values), take(v.values)) for k, v in self.kv_att]
+                self.k_final, self.graph_q = take(self.k_final.values), take(self.graph_q.values)
+                self.hist = [[take(np.concatenate([x.values for x in h], axis=-2))] for h in self.hist]
             self.group = np.full_like(self.group, -1)
-            return
-        if len(self.lead) == np.count_nonzero(member):
-            # one row per group, so none splits: the rows that stay keep theirs
-            parent, nodes, first, inverse = self.group[stay], actions[stay], slice(None), np.arange(len(stay))
-        else:
-            keys, first, inverse = np.unique(self.group[stay] * (self.n + 1) + actions[stay],
-                                             return_index=True, return_inverse=True)
-            parent, nodes = np.divmod(keys, self.n + 1)
-        if not np.array_equal(parent, np.arange(len(self.lead))):
-            # one index per tensor narrows or repeats the decoded rows; the
-            # history collapses into one tensor per layer first
-            take = lambda values: ad.constant(values[parent])
-            self.kv_att = [(take(k.values), take(v.values)) for k, v in self.kv_att]
-            self.k_final, self.graph_q = take(self.k_final.values), take(self.graph_q.values)
-            self.hist = [[take(np.concatenate([x.values for x in h], axis=-2))] for h in self.hist]
-        self.group = np.full_like(self.group, -1)
-        self.group[stay] = inverse
-        self.lead = stay[first]
-        self.src = self.src[parent]
-        self.cur_rows = ad.constant(self.emb.rows.values[self.src, nodes][:, None, :])
+            self.group[stay] = inverse
+            self.lead = stay[first]
+            self.src = self.src[parent]
+        self.cur_rows = ad.take(self.emb.rows, (self.src[:, None], nodes[:, None]))
 
 
 @dataclass
@@ -490,7 +493,7 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
                 chosen = ad.constant(np.where(open_rows, logp.values[dec.group, actions], 0.0))
                 ent = ad.constant(np.where(open_rows, _entropy(logp).values[dec.group], -0.0))
             else:
-                chosen = ad.gather_last(logp, actions)
+                chosen = ad.take(logp, (np.arange(b), actions))
                 ent = _entropy(logp)
             logp_acc = chosen if logp_acc is None else ad.add(logp_acc, chosen)
             ent_acc = ent if ent_acc is None else ad.add(ent_acc, ent)

@@ -50,16 +50,14 @@ class TsiliParams:
 
 
 def _geometry(inst: Instance):
-    """Distance matrix over node references plus prize/return-leg arrays."""
-    n, k = inst.n, inst.k
-    pts = np.vstack([
-        np.array(inst.depot, dtype=np.float64).reshape(1, 2),
-        inst.customer_xy(),
-        inst.vehicle_xy(),
-    ])
+    """Plain-list inputs of the solvers: distances between node references,
+    customer prizes, vehicle fuels, every node's leg to the depot, and each
+    vehicle's start reference."""
+    pts = inst.node_xy()
     diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(-1))
-    return dist, inst.prizes(), n, k
+    d = np.sqrt((diff * diff).sum(-1)).tolist()
+    dret = [d[j][0] for j in range(inst.n + 1)]
+    return d, inst.prizes().tolist(), inst.fuels().tolist(), dret, [inst.n + 1 + k for k in range(inst.k)]
 
 
 def solve_exact(inst: Instance, budget: int = 10_000_000) -> Solution:
@@ -68,12 +66,8 @@ def solve_exact(inst: Instance, budget: int = 10_000_000) -> Solution:
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    dist, prizes, n, k_veh = _geometry(inst)
-    d = dist.tolist()
-    p = prizes.tolist()
-    fuels = inst.fuels().tolist()
-    dret = [d[j][0] for j in range(n + 1)]
-    start = [n + 1 + k for k in range(k_veh)]
+    n, k_veh = inst.n, inst.k
+    d, p, fuels, dret, start = _geometry(inst)
 
     # Static reachability of each customer from each vehicle's initial state,
     # then suffix unions: customers some vehicle AFTER slot k can still serve.
@@ -145,12 +139,7 @@ def brute_force_enum(inst: Instance, max_n: int = 8) -> Solution:
     n, k_veh = inst.n, inst.k
     if n > max_n:
         raise ValueError(f"brute force enumeration capped at n={max_n}, got n={n}")
-    dist, prizes, n, k_veh = _geometry(inst)
-    d = dist.tolist()
-    p = prizes.tolist()
-    fuels = inst.fuels().tolist()
-    dret = [d[j][0] for j in range(n + 1)]
-    start = [n + 1 + k for k in range(k_veh)]
+    d, p, fuels, dret, start = _geometry(inst)
 
     # Held-Karp per vehicle: cheapest start -> subset -> depot walk length.
     n_subsets = 1 << n

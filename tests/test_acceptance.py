@@ -132,11 +132,12 @@ def test_criterion_3_gradient_suite(rng):
          [(6, 3, 5)], {}),
         ("reshape", lambda l: ad.reshape(l[0], (2, 10)), [(4, 5)], {}),
         ("transpose", lambda l: ad.transpose(l[0], (1, 0, 2)), [(3, 4, 5)], {}),
-        ("take_rows", lambda l: ad.take_rows(l[0], [0, 2, 2, 1]), [(2, 5, 3)], {}),
-        ("gather_rows", lambda l: ad.gather_rows(l[0], np.array([1, 0, 3])),
+        ("take-slice", lambda l: ad.take(l[0], (slice(None), np.array([0, 2, 2, 1]))),
+         [(2, 5, 3)], {}),
+        ("take-row", lambda l: ad.take(l[0], (np.arange(3)[:, None], np.array([[1], [0], [3]]))),
          [(3, 4, 5)], {}),
-        ("gather_last", lambda l: ad.gather_last(l[0], np.array([[1, 0], [3, 2]])),
-         [(2, 2, 5)], {}),
+        ("take-scalar", lambda l: ad.take(l[0], (np.arange(4), np.array([1, 0, 4, 4]))),
+         [(4, 5)], {}),
     ]
     covered = {name.split("-")[0] for name, _, _, _ in kinds}
     assert covered == set(ad.OP_KINDS), covered ^ set(ad.OP_KINDS)
@@ -204,7 +205,7 @@ def test_criterion_4_augmentation_invariance(rng):
                     moved = euclidean(aug.point(a), aug.point(b))
                     assert abs(moved - euclidean(inst.point(a), inst.point(b))) <= 1e-12
             assert abs(solve_exact(aug).objective - base_obj) <= 1e-9
-            assert env.replay(aug, (0, 1), traj.actions).reward == traj.reward
+            assert env.replay([aug], [(0, 1)], [traj.actions])[0].reward == traj.reward
     dt = time.perf_counter() - t0
     ok(4, f"isometry (1e-12), exact-optimum (1e-9), and replay-reward "
           f"invariance on 100 instances x 8 maps ({dt:.1f}s)")

@@ -47,6 +47,8 @@ def test_shape_mismatch_names_kind():
         ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((4, 2))))
     with pytest.raises(ad.ShapeMismatchError, match="concat"):
         ad.concat([ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 3)))], axis=-1)
+    with pytest.raises(ad.ShapeMismatchError, match="take"):
+        ad.take(ad.constant(np.ones((2, 3, 4))), (np.arange(2)[:, None], np.array([[1], [3]])))
 
 
 def test_nonfinite_input_rejected_when_checking():
@@ -155,12 +157,37 @@ def test_gradients_all_kinds(rng):
         ("batchnorm-eval", lambda l: ad.batchnorm(l[0], rm, rv, training=False), [(6, 3, 5)], {}),
         ("reshape", lambda l: ad.reshape(l[0], (2, 10)), [(4, 5)], {}),
         ("transpose", lambda l: ad.transpose(l[0], (1, 0, 2)), [(3, 4, 5)], {}),
-        ("take_rows", lambda l: ad.take_rows(l[0], [0, 2, 2, 1]), [(2, 5, 3)], {}),
-        ("gather_rows", lambda l: ad.gather_rows(l[0], np.array([1, 0, 3])), [(3, 4, 5)], {}),
-        ("gather_last", lambda l: ad.gather_last(l[0], np.array([[1, 0], [3, 2]])), [(2, 2, 5)], {}),
+        # the decoder's three uses: node rows (repeated here), a row per batch
+        # element, and one entry per row
+        ("take-slice", lambda l: ad.take(l[0], (slice(None), np.array([0, 2, 2, 1]))), [(2, 5, 3)], {}),
+        ("take-row", lambda l: ad.take(l[0], (np.arange(3)[:, None], np.array([[1], [0], [3]]))),
+         [(3, 4, 5)], {}),
+        ("take-scalar", lambda l: ad.take(l[0], (np.arange(4), np.array([1, 0, 4, 4]))), [(4, 5)], {}),
     ]
     for name, builder, shapes, kw in cases:
         check_op_gradients(builder, shapes, rng, probes=100, **kw)
+
+
+def test_every_op_kind_is_issued_by_the_package(monkeypatch):
+    """No op kind exists only for tests: one training step of the package
+    issues every kind."""
+    from mstoplab.instances import GenConfig, generate
+    from mstoplab.model import DdtmConfig, DdtmParameters
+    from mstoplab.training import TrainConfig, reinforce_step
+
+    issued, real = set(), ad.forward
+
+    def recording(kind, inputs, attrs=None):
+        issued.add(kind)
+        return real(kind, inputs, attrs)
+
+    monkeypatch.setattr(ad, "forward", recording)
+    cfg = DdtmConfig(d=8, heads=2, ff_dim=8, encoder_layers=1, decoder_layers=1)
+    params = DdtmParameters.init(cfg, seed=0)
+    inst = generate(GenConfig(n=4, k=2, t_max=1.5, seed=0))
+    reinforce_step([inst], [(0, 1)], params, AdamState(lr=1e-4), cfg, TrainConfig(batch=8),
+                   rollout_rng=np.random.default_rng(0))
+    assert issued == set(ad.OP_KINDS), issued ^ set(ad.OP_KINDS)
 
 
 # --- batch norm bookkeeping ----------------------------------------------------

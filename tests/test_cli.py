@@ -287,6 +287,27 @@ def test_eval_refuses_budget_truncated_exact_reference(tmp_path, dataset_dir, tr
     assert not (tmp_path / "cut" / "summary.csv").exists()
 
 
+def test_eval_fails_on_an_unverified_solution(tmp_path, dataset_dir, trained_dir, capsys,
+                                              monkeypatch):
+    from mstoplab import inference
+    from mstoplab.oracle import FeasibilityReport, Violation
+
+    def violated(inst, sol):
+        return FeasibilityReport(ok=False, violations=(Violation("fuel-budget", "planted"),),
+                                 objective_recomputed=sol.objective)
+
+    monkeypatch.setattr(inference, "verify", violated)
+    out = tmp_path / "unverified"
+    code = run_cli(["eval", "--dataset", str(dataset_dir / "dataset.jsonl"),
+                    "--checkpoint", str(trained_dir / "best.ckpt"), "--strategies", "greedy",
+                    "--d", "16", "--heads", "2", "--ff-dim", "32", "--enc-layers", "1",
+                    "--out", str(out)])
+    assert code == 2
+    assert "InferenceError" in capsys.readouterr().err
+    left = os.listdir(out)
+    assert "results.csv" not in left and not [name for name in left if name.endswith(".tmp")]
+
+
 # --- harness plumbing ---------------------------------------------------------------
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):

@@ -172,13 +172,13 @@ def test_step_leaves_unselected_rows_unchanged():
 
 def test_reward_empty_routes_zero():
     inst = generous_instance(n=3, k=2)
-    traj = replay(inst, (0, 1), [0, 0])
+    traj = replay([inst], [(0, 1)], [[0, 0]])[0]
     assert traj.reward == 0.0 and traj.routes == ((), ())
 
 
 def test_reward_all_visited_constant_prizes():
     inst = generous_instance(n=4, k=2)
-    traj = replay(inst, (0, 1), [1, 2, 0, 3, 4, 0])
+    traj = replay([inst], [(0, 1)], [[1, 2, 0, 3, 4, 0]])[0]
     assert traj.reward == 4.0 and traj.routes == ((1, 2), (3, 4))
 
 
@@ -186,7 +186,7 @@ def test_reward_matches_recomputation(rng):
     for seed in range(30):
         inst = generate(GenConfig(n=7, k=2, t_max=1.8, prize_mode="uniform", seed=seed))
         actions, st = random_episode(inst, (0, 1), rng)
-        traj = replay(inst, (0, 1), actions)
+        traj = replay([inst], [(0, 1)], [actions])[0]
         recomputed = sum(inst.prizes()[c - 1] for route in traj.routes for c in route)
         assert abs(traj.reward - recomputed) <= 1e-12
         assert abs(traj.reward - st.collected.sum()) <= 1e-12
@@ -195,9 +195,9 @@ def test_reward_matches_recomputation(rng):
 def test_reward_requires_terminal_trajectory():
     inst = generous_instance(n=2, k=2)
     with pytest.raises(EnvError):
-        replay(inst, (0, 1), [0])  # second vehicle never closes
+        replay([inst], [(0, 1)], [[0]])  # second vehicle never closes
     with pytest.raises(EnvError):
-        replay(inst, (0, 1), [0, 0, 1])  # acts after the terminal state
+        replay([inst], [(0, 1)], [[0, 0, 1]])  # acts after the terminal state
 
 
 # --- invariants --------------------------------------------------------------------
@@ -228,7 +228,7 @@ def test_feasibility_preserved_over_random_walk(rng):
 def test_route_length_bounded_by_initial_fuel(rng):
     for seed in range(50):
         inst = generate(GenConfig(n=7, k=2, t_max=1.8, seed=seed))
-        traj = replay(inst, (0, 1), random_episode(inst, (0, 1), rng)[0])
+        traj = replay([inst], [(0, 1)], [random_episode(inst, (0, 1), rng)[0]])[0]
         for k, route in enumerate(traj.routes):
             pts = [tuple(inst.vehicle_xy()[k])] + [inst.point(c) for c in route] + [inst.depot]
             length = sum(math.dist(a, b) for a, b in zip(pts[:-1], pts[1:]))
@@ -239,9 +239,9 @@ def test_augmentation_equivariant_replay(rng):
     for seed in range(20):
         inst = generate(GenConfig(n=6, k=2, t_max=1.5, prize_mode="uniform", seed=seed))
         actions, _ = random_episode(inst, (1, 0), rng)
-        base = replay(inst, (1, 0), actions).reward
+        base = replay([inst], [(1, 0)], [actions])[0].reward
         for aug in augment(inst):
-            assert replay(aug, (1, 0), actions).reward == base
+            assert replay([aug], [(1, 0)], [actions])[0].reward == base
 
 
 # --- differential: batch environment against the scalar reference ---------------------
@@ -347,4 +347,4 @@ def test_batch_env_matches_scalar_reference_on_policy_trajectories():
         assert ref.terminal and traj.reward == rewards[i]
         assert traj.routes == roll.trajectory(i).routes
         assert traj.actions == roll.trajectory(i).actions
-    assert replay(insts[3], orders[3], roll.trajectory(3).actions).reward == rewards[3]
+    assert replay([insts[3]], [orders[3]], [roll.trajectory(3).actions])[0].reward == rewards[3]

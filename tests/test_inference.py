@@ -99,7 +99,7 @@ def test_augmented_replay_reward_identical(params):
     for s in range(8):
         aug = apply_symmetry(inst, s)
         traj = rollout_one(aug, (1, 0), params, CFG)
-        replayed = env.replay(inst, (1, 0), traj.actions)
+        replayed = env.replay([inst], [(1, 0)], [traj.actions])[0]
         assert replayed.reward == traj.reward
 
 

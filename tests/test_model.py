@@ -108,10 +108,17 @@ def test_encode_shape_contract(params):
         assert emb.graph.shape == (1, 1, CFG.d)
 
 
+def masked_flags(state):
+    """(B, 1+n+K) encoder row flags: the depot never, visited customers and
+    parked vehicles always."""
+    return np.concatenate([np.zeros((len(state), 1), dtype=bool), state.visited, state.done], axis=1)
+
+
 def test_graph_embedding_fresh_state_divisor(params):
     inst = tiny_instance(seed=3)
-    emb = encode_states(env.reset(inst, (0, 1)), params, CFG)
-    assert not emb.masked_rows.any()
+    st = env.reset(inst, (0, 1))
+    emb = encode_states(st, params, CFG)
+    assert not masked_flags(st).any()
     manual = emb.rows.values.mean(axis=1)  # all N+K+1 rows
     assert np.allclose(emb.graph.values[:, 0, :], manual, atol=1e-12)
 
@@ -122,7 +129,7 @@ def test_graph_embedding_masks_visited_rows(params):
     for action in (1, 3, 4, 0):
         st = env.step(st, action)
     emb = encode_states(st, params, CFG)
-    masked = emb.masked_rows[0]
+    masked = masked_flags(st)[0]
     assert masked[[1, 3, 4]].all() and masked[inst.n + 1]
     keep = ~masked
     manual = emb.rows.values[0][keep].mean(axis=0)  # (N-3)+(K-1)+1 rows
@@ -164,7 +171,10 @@ def assert_encoding_matches_taped(state, params):
     assert len(fast.source) == len(state) and len(fast.rows.values) == len(np.unique(fast.source))
     assert fast.rows.values[fast.source].tobytes() == slow.rows.values.tobytes()
     assert fast.graph.values[fast.source].tobytes() == slow.graph.values.tobytes()
-    np.testing.assert_array_equal(fast.masked_rows[fast.source], slow.masked_rows)
+    # every state row sharing an encoded row has its flags
+    flags = masked_flags(state)
+    first = np.unique(fast.source, return_index=True)[1]
+    np.testing.assert_array_equal(flags[first][fast.source], flags)
 
 
 def row_keys(state):
