@@ -13,6 +13,8 @@ forcing probability exactly zero.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Additive-mask sentinel used by callers that need a finite "minus infinity".
@@ -257,21 +259,84 @@ def _masked_logits(kind, x, attrs):
 
 
 def _softmax_raw(z):
+    """Softmax over the last axis, computed in place in ``z``."""
     m = np.max(z, axis=-1, keepdims=True)
     if np.isneginf(m).any():
-        raise NonFiniteError("softmax: a row is fully masked to -inf")
-    e = np.exp(z - m)
-    return e / e.sum(axis=-1, keepdims=True)
+        raise NonFiniteError("attention: a row is fully masked to -inf")
+    z -= m
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
-def _op_softmax(vals, attrs, needs):
-    (x,) = vals
-    p = _softmax_raw(_masked_logits("softmax", x, attrs))
+def _split_heads(x, heads):
+    b, r, d = x.shape
+    return x.reshape(b, r, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def _matmul_merged(a, b):
+    """The per-head products ``a @ b`` (B, heads, R, dk) with the heads merged
+    into (B, R, heads * dk). Each product is written straight into its
+    columns of the result, which saves the copy of merging afterwards and
+    changes no value."""
+    n, h, r, _ = a.shape
+    dk = b.shape[-1]
+    out = np.empty((n, r, h * dk))
+    np.matmul(a, b, out=out.reshape(n, r, h, dk).transpose(0, 2, 1, 3))
+    return out
+
+
+def _op_attention(vals, attrs, needs):
+    """Multi-head scaled-dot-product attention of query rows ``x`` (B, Rq, d)
+    over projected, not yet head-split keys and values (B, Rk, d), with the
+    query and output projections ``wq`` and ``wout`` (d, d) inside the op.
+
+    The forward runs the numpy steps of the unfused composition (query
+    projection, head split, scores, scale, additive mask, softmax, weighted
+    sum, head merge, output projection) in its order and on the same shapes,
+    so its values are identical. The scale, mask and softmax work in place on
+    the fresh scores, and the weighted sums are written straight into merged
+    rows. One backward closure returns the gradients of all five inputs.
+    """
+    x, k, v, wq, wout = vals
+    heads = attrs["heads"]
+    d = x.shape[-1]
+    if (x.ndim != 3 or k.ndim != 3 or v.shape != k.shape or k.shape[0] != x.shape[0] or k.shape[2] != d
+            or wq.shape != (d, d) or wout.shape != (d, d) or d % heads):
+        raise ShapeMismatchError(
+            "attention", f"x {x.shape}, k {k.shape}, v {v.shape}, wq {wq.shape}, wout {wout.shape}, "
+                         f"{heads} heads")
+    c = 1.0 / math.sqrt(d // heads)
+    qh = _split_heads(x @ wq, heads)
+    kh, vh = _split_heads(k, heads), _split_heads(v, heads)
+    p = qh @ _swap_last(kh)
+    p *= c
+    mask = attrs.get("mask")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+        try:
+            p += mask
+        except ValueError:
+            raise ShapeMismatchError("attention", f"mask shape {mask.shape} not broadcastable to {p.shape}")
+    _softmax_raw(p)
+    o = _matmul_merged(p, vh)
+    out = o @ wout
 
     def backward(g):
-        return (p * (g - np.sum(g * p, axis=-1, keepdims=True)),)
+        # the tape drops the gradients of constant inputs
+        g2 = g.reshape(-1, d)
+        gwout = o.reshape(-1, d).T @ g2
+        go = _split_heads((g2 @ wout.T).reshape(x.shape), heads)
+        gv = _matmul_merged(_swap_last(p), go)
+        gs = go @ _swap_last(vh)      # becomes the scores' gradient in place
+        gs -= np.sum(gs * p, axis=-1, keepdims=True)
+        gs *= p
+        gs *= c
+        gk = _matmul_merged(_swap_last(gs), qh)
+        gq = _matmul_merged(gs, kh).reshape(-1, d)
+        return (gq @ wq.T).reshape(x.shape), gk, gv, x.reshape(-1, d).T @ gq, gwout
 
-    return p, backward
+    return out, backward
 
 
 def _op_log_softmax(vals, attrs, needs):
@@ -381,15 +446,6 @@ def _op_reshape(vals, attrs, needs):
     return x.reshape(shape), lambda g: (g.reshape(x.shape),)
 
 
-def _op_transpose(vals, attrs, needs):
-    (x,) = vals
-    axes = tuple(attrs["axes"])
-    if sorted(axes) != list(range(x.ndim)):
-        raise ShapeMismatchError("transpose", f"axes {axes} invalid for rank {x.ndim}")
-    inv = tuple(np.argsort(axes))
-    return x.transpose(axes), lambda g: (g.transpose(inv),)
-
-
 def _op_take(vals, attrs, needs):
     # Row selection x[index] by a tuple of slices and integer arrays; repeated
     # indices add their gradients.
@@ -414,7 +470,7 @@ OP_KINDS = {
     "mul": _op_mul,
     "scale": _op_scale,
     "concat": _op_concat,
-    "softmax": _op_softmax,
+    "attention": _op_attention,
     "log_softmax": _op_log_softmax,
     "relu": _op_relu,
     "tanh": _op_tanh,
@@ -422,7 +478,6 @@ OP_KINDS = {
     "sum": _op_sum,
     "batchnorm": _op_batchnorm,
     "reshape": _op_reshape,
-    "transpose": _op_transpose,
     "take": _op_take,
 }
 
@@ -483,8 +538,8 @@ def concat(tensors, axis=-1):
     return forward("concat", tensors, {"axis": axis})
 
 
-def softmax(x, mask=None):
-    return forward("softmax", [x], {"mask": mask})
+def attention(x, k, v, wq, wout, heads, mask=None):
+    return forward("attention", [x, k, v, wq, wout], {"heads": heads, "mask": mask})
 
 
 def log_softmax(x, mask=None):
@@ -517,10 +572,6 @@ def batchnorm(x, running_mean, running_var, *, training, momentum=0.1, eps=1e-5,
 
 def reshape(x, shape):
     return forward("reshape", [x], {"shape": shape})
-
-
-def transpose(x, axes):
-    return forward("transpose", [x], {"axes": axes})
 
 
 def take(x, index):

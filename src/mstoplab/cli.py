@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import FORMAT_VERSION as CKPT_VERSION, atomic_write, load_checkpoint
-from .inference import InferConfig, infer
+from .inference import InferConfig, InferenceError, infer
 from .instances import (DATASET_VERSION, GenConfig, PRESETS, PRIZE_MODES,
                         generate_many, load_dataset, save_dataset)
 from .model import DdtmConfig, DdtmParameters
@@ -176,8 +176,11 @@ def cmd_solve(args) -> int:
                 "instance": i, "objective": sol.objective, "optimal": sol.optimal,
                 "routes": [list(r) for r in sol.routes], "expansions": sol.expansions,
             }) + "\n")
+    # only the exact solver has a node budget; it reports optimal=False when it ran out
+    exhausted = sum(not s.optimal for s in solutions) if args.method == "exact" else 0
+    expansions = sum(s.expansions for s in solutions)
     with atomic_write(os.path.join(out, "timings.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"wall_time_s {elapsed!r}\n")
+        fh.write(f"wall_time_s {elapsed!r}\nbudget_exhausted {exhausted}\nexpansions {expansions}\n")
     _write_manifest(out, "solve", {
         "dataset": args.dataset, "method": args.method, "budget": args.budget,
         "tsili_width": args.tsili_width, "tsili_r": args.tsili_r,
@@ -188,7 +191,7 @@ def cmd_solve(args) -> int:
     if refs:
         gaps = [(r - s.objective) / r if r > 0 else 0.0 for r, s in zip(refs, solutions)]
         line += f" mean_gap={100.0 * float(np.mean(gaps)):.2f}%"
-    line += f" wall_time={elapsed:.2f}s"
+    line += f" budget_exhausted={exhausted} expansions={expansions} wall_time={elapsed:.2f}s"
     print(line)
     return 0
 
@@ -273,7 +276,10 @@ def cmd_eval(args) -> int:
         t0 = time.perf_counter()
         rows = []
         for i, inst in enumerate(instances):
-            sol, census = infer(inst, params, model_cfg, icfg)
+            try:
+                sol, census = infer(inst, params, model_cfg, icfg)
+            except InferenceError as err:
+                raise InferenceError(f"instance {i}, strategy {strategy}: {err}") from err
             rows.append((i, sol.objective, census.count, sol.routes))
         per_strategy[strategy] = rows
         times[strategy] = time.perf_counter() - t0

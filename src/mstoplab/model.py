@@ -28,7 +28,10 @@ The decoder builds one action distribution per step:
 
 The decoder reads encoder rows (the depot, customer and active vehicle rows
 when a route starts, the chosen node's row after each step) with one
-``take`` op, taped and untaped alike.
+``take`` op, taped and untaped alike. Each of the three attention blocks
+(encoder self-attention, decoder self-attention and encoder-decoder
+attention) is one ``attention`` op on keys and values projected by plain
+matmuls; the op splits them into heads itself.
 
 Masking is additive (large-negative logits) throughout, so masked actions get
 probability exactly zero. All rollouts are deterministic given parameters,
@@ -198,36 +201,11 @@ class Embeddings:
     k: int
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    b, r, d = x.shape
-    x = ad.reshape(x, (b, r, heads, d // heads))
-    return ad.transpose(x, (0, 2, 1, 3))
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    b, h, r, dk = x.shape
-    x = ad.transpose(x, (0, 2, 1, 3))
-    return ad.reshape(x, (b, r, h * dk))
-
-
-def _attention(q_rows, k_rows_split, v_rows_split, wq, wout, heads, mask_add):
-    """Multi-head scaled-dot-product attention with pre-split keys/values."""
-    dk = q_rows.shape[-1] // heads
-    qh = _split_heads(ad.matmul(q_rows, wq), heads)
-    scores = ad.scale(ad.matmul(qh, k_rows_split, transpose_b=True), 1.0 / math.sqrt(dk))
-    att = ad.softmax(scores, mask=mask_add)
-    return ad.matmul(_merge_heads(ad.matmul(att, v_rows_split)), wout)
-
-
-def _self_attention(rows, bind, prefix, heads, mask_add):
-    kh = _split_heads(ad.matmul(rows, bind(f"{prefix}_wk")), heads)
-    vh = _split_heads(ad.matmul(rows, bind(f"{prefix}_wv")), heads)
-    return _attention(rows, kh, vh, bind(f"{prefix}_wq"), bind(f"{prefix}_wout"), heads, mask_add)
-
-
 def _encode(depot, cust, veh, masked, bind, cfg: DdtmConfig, bn_training, update_stats):
     """Encoder body: (rows, graph) for per-row depot, customer and vehicle
-    inputs and masked-row flags."""
+    inputs and masked-row flags. Each layer is one ``attention`` op over the
+    rows (pairs with a masked row masked out), then batch-norm, residual and
+    feed-forward."""
     rows = ad.concat([
         ad.matmul(ad.constant(depot), bind("init_depot_w")),
         ad.matmul(ad.constant(cust), bind("init_node_w")),
@@ -241,7 +219,8 @@ def _encode(depot, cust, veh, masked, bind, cfg: DdtmConfig, bn_training, update
         att_bias = None
 
     for l in range(cfg.encoder_layers):
-        mha = _self_attention(rows, bind, f"enc{l}", cfg.heads, att_bias)
+        mha = ad.attention(rows, ad.matmul(rows, bind(f"enc{l}_wk")), ad.matmul(rows, bind(f"enc{l}_wv")),
+                           bind(f"enc{l}_wq"), bind(f"enc{l}_wout"), cfg.heads, att_bias)
         h = ad.batchnorm(ad.add(rows, mha),
                          bind.stat(f"enc{l}_bn1_mean"), bind.stat(f"enc{l}_bn1_var"),
                          training=bn_training, update_stats=update_stats)
@@ -299,8 +278,10 @@ class RouteDecoder:
     Holds, per decoded row, the per-layer history of context rows for this
     route, the current node embedding (initialized to the active vehicle's
     row), and the per-route projections of the encoder output that stay
-    fixed while the route is being built. ``params`` is the binding of a
-    taped rollout, or plain parameters for an untaped decode.
+    fixed while the route is being built: per layer, the unsplit (G, n+2, d)
+    keys and values of the encoder-decoder ``attention`` op in ``kv_att``,
+    and the final scoring keys. ``params`` is the binding of a taped
+    rollout, or plain parameters for an untaped decode.
 
     A taped decoder decodes every state row at every step, finished routes
     included, so the tape holds one row per trajectory. An untaped one
@@ -335,10 +316,8 @@ class RouteDecoder:
         h_node = ad.concat([node_part, veh_part], axis=-2)          # (G, n+2, d)
         self.kv_att = []
         for l in range(cfg.decoder_layers):
-            self.kv_att.append((
-                _split_heads(ad.matmul(h_node, bind(f"dec{l}_att_wk")), cfg.heads),
-                _split_heads(ad.matmul(h_node, bind(f"dec{l}_att_wv")), cfg.heads),
-            ))
+            self.kv_att.append((ad.matmul(h_node, bind(f"dec{l}_att_wk")),
+                                ad.matmul(h_node, bind(f"dec{l}_att_wv"))))
         self.k_final = ad.matmul(node_part, bind("final_wk"))       # (G, n+1, d)
         self.graph_q = ad.matmul(graph, bind("graph_proj_w"))       # (G, 1, d)
         self.cur_rows = veh_part                                    # (G, 1, d)
@@ -358,12 +337,12 @@ class RouteDecoder:
         for l in range(cfg.decoder_layers):
             x_in = x
             hist_rows = ad.concat(self.hist[l], axis=-2) if self.hist[l] else x_in
-            kh = _split_heads(ad.matmul(hist_rows, bind(f"dec{l}_sa_wk")), cfg.heads)
-            vh = _split_heads(ad.matmul(hist_rows, bind(f"dec{l}_sa_wv")), cfg.heads)
-            x = _attention(x, kh, vh, bind(f"dec{l}_sa_wq"), bind(f"dec{l}_sa_wout"), cfg.heads, None)
+            x = ad.attention(x, ad.matmul(hist_rows, bind(f"dec{l}_sa_wk")),
+                             ad.matmul(hist_rows, bind(f"dec{l}_sa_wv")),
+                             bind(f"dec{l}_sa_wq"), bind(f"dec{l}_sa_wout"), cfg.heads)
             k_att, v_att = self.kv_att[l]
-            x = _attention(x, k_att, v_att, bind(f"dec{l}_att_wq"), bind(f"dec{l}_att_wout"),
-                           cfg.heads, key_mask)
+            x = ad.attention(x, k_att, v_att, bind(f"dec{l}_att_wq"), bind(f"dec{l}_att_wout"),
+                             cfg.heads, key_mask)
             self.hist[l].append(x_in)
         q = ad.matmul(ad.add(x, self.graph_q), bind("final_wq"))    # (G, 1, d)
         raw = ad.scale(ad.matmul(q, self.k_final, transpose_b=True), 1.0 / math.sqrt(cfg.d))

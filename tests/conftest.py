@@ -59,6 +59,27 @@ def check_op_gradients(builder, shapes, rng, probes=100, h=1e-5, tol=1e-4,
     return worst
 
 
+def attention_probe_cases():
+    """Finite-difference cases of the ``attention`` kind for the gradient
+    suites, all five inputs probed: encoder-shaped (Rq = Rk, pair mask of
+    masked rows, whose own outputs get zero weight), cross-shaped (Rq = 1,
+    key mask) and unmasked."""
+    rows = np.array([[False, False, True, False, True], [False, True, False, False, False]])
+    pair = np.where(rows[:, :, None] | rows[:, None, :], ad.NEG_INF, 0.0)[:, None]
+    keys = np.array([[False, True, False, False, True, False], [False, False, False, True, True, True],
+                     [False, False, False, False, False, False]])
+    key_mask = np.where(keys, ad.NEG_INF, 0.0)[:, None, None, :]
+    return [
+        ("attention-encoder", lambda l: ad.attention(*l, heads=2, mask=pair),
+         [(2, 5, 4), (2, 5, 4), (2, 5, 4), (4, 4), (4, 4)],
+         {"weight_filter": lambda w: np.where(rows[:, :, None], 0.0, w)}),
+        ("attention-cross", lambda l: ad.attention(*l, heads=2, mask=key_mask),
+         [(3, 1, 4), (3, 6, 4), (3, 6, 4), (4, 4), (4, 4)], {}),
+        ("attention-unmasked", lambda l: ad.attention(*l, heads=2),
+         [(2, 3, 4), (2, 5, 4), (2, 5, 4), (4, 4), (4, 4)], {}),
+    ]
+
+
 def tiny_instance(n=6, k=2, t_max=1.5, prize_mode="constant", seed=0) -> Instance:
     return generate(GenConfig(n=n, k=k, t_max=t_max, prize_mode=prize_mode, seed=seed))
 

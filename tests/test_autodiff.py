@@ -5,14 +5,25 @@ from mstoplab import autodiff as ad
 from mstoplab.optim import AdamState, MissingGradientError, adam_step, clip_by_global_norm
 from mstoplab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
-from conftest import check_op_gradients, fd_gradient, rel_err
+import unfused_attention
+from conftest import attention_probe_cases, check_op_gradients, fd_gradient, rel_err
 
 
 # --- forward contract examples ----------------------------------------------
 
+def _softmax_through_attention(z, mask=None):
+    """ad.attention whose output is its attention weights: one head, unit
+    keys and values, identity projections and wq scaled so that the scores
+    of the query rows ``z`` (B, 1, R) are ``z`` up to rounding."""
+    b, _, r = z.shape
+    eye = np.eye(r)
+    unit = np.broadcast_to(eye, (b, r, r))
+    return ad.attention(z, unit, unit, np.sqrt(r) * eye, eye, heads=1, mask=mask)
+
+
 def test_softmax_symmetry():
-    out = ad.softmax(ad.constant([[0.0, 0.0]]))
-    assert np.allclose(out.values, [[0.5, 0.5]], atol=1e-12)
+    out = _softmax_through_attention(np.zeros((1, 1, 2)))
+    assert np.allclose(out.values, [[[0.5, 0.5]]], atol=1e-12)
 
 
 def test_matmul_identity():
@@ -23,23 +34,41 @@ def test_matmul_identity():
 
 @pytest.mark.parametrize("neg", [-np.inf, ad.NEG_INF])
 def test_softmax_masked_two_way(neg):
-    out = ad.softmax(ad.constant([[2.0, 2.0, 2.0]]), mask=np.array([[0.0, neg, 0.0]]))
-    assert out.values[0, 1] == 0.0
-    assert np.allclose(out.values, [[0.5, 0.0, 0.5]], atol=1e-12)
+    out = _softmax_through_attention(np.full((1, 1, 3), 2.0), mask=np.array([[0.0, neg, 0.0]]))
+    assert out.values[0, 0, 1] == 0.0
+    assert np.allclose(out.values, [[[0.5, 0.0, 0.5]]], atol=1e-12)
 
 
 def test_softmax_rows_sum_to_one(rng):
+    """The attention weights of every query row sum to one and are exactly
+    zero at masked keys, so a masked key's value row cannot change the
+    output, and its key and value rows get exactly zero gradient."""
     x = rng.standard_normal((40, 9)) * 5
     mask = np.where(rng.random((40, 9)) < 0.3, ad.NEG_INF, 0.0)
     mask[:, 0] = 0.0
-    p = ad.softmax(ad.constant(x), mask=mask).values
+    p = _softmax_through_attention(x[:, None, :], mask=mask[:, None, None, :]).values[:, 0]
     assert np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-9)
     assert np.all(p[mask < 0] == 0.0)
 
+    x, k, v, wq, wout = [rng.standard_normal(s) for s in ((4, 3, 8), (4, 9, 8), (4, 9, 8), (8, 8), (8, 8))]
+    key_masked = rng.random((4, 9)) < 0.3
+    key_masked[:, 0] = False
+    key_mask = np.where(key_masked, ad.NEG_INF, 0.0)[:, None, None, :]
+    tape = ad.Tape()
+    leaves = [tape.leaf(a) for a in (x, k, v, wq, wout)]
+    out = ad.attention(*leaves, heads=2, mask=key_mask)
+    loss = ad.tsum(ad.mul(out, ad.constant(rng.standard_normal(out.shape))))
+    grads = tape.backward(loss)
+    v_moved = np.where(key_masked[..., None], 1e6 * rng.standard_normal(v.shape), v)
+    moved = ad.attention(x, k, v_moved, wq, wout, heads=2, mask=key_mask)
+    assert key_masked.any() and np.array_equal(moved.values, out.values)
+    assert np.all(grads.of(leaves[1])[key_masked] == 0.0)
+    assert np.all(grads.of(leaves[2])[key_masked] == 0.0)
+
 
 def test_softmax_fully_masked_row_rejected():
-    with pytest.raises(ad.NonFiniteError):
-        ad.softmax(ad.constant([[1.0, 2.0]]), mask=np.array([[-np.inf, -np.inf]]))
+    with pytest.raises(ad.NonFiniteError, match="attention"):
+        _softmax_through_attention(np.array([[[1.0, 2.0]]]), mask=np.array([[-np.inf, -np.inf]]))
 
 
 def test_shape_mismatch_names_kind():
@@ -49,6 +78,11 @@ def test_shape_mismatch_names_kind():
         ad.concat([ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 3)))], axis=-1)
     with pytest.raises(ad.ShapeMismatchError, match="take"):
         ad.take(ad.constant(np.ones((2, 3, 4))), (np.arange(2)[:, None], np.array([[1], [3]])))
+    x, kv, w = np.ones((2, 1, 4)), np.ones((2, 3, 4)), np.eye(4)
+    with pytest.raises(ad.ShapeMismatchError, match="attention"):
+        ad.attention(x, kv, kv, w, w, heads=3)
+    with pytest.raises(ad.ShapeMismatchError, match="attention"):
+        ad.attention(x, kv, kv, w, w, heads=2, mask=np.zeros((2, 1, 1, 4)))
 
 
 def test_nonfinite_input_rejected_when_checking():
@@ -70,19 +104,21 @@ def test_backward_square_at_three():
 
 
 def test_backward_masked_softmax_dot_matches_finite_differences():
-    # d(softmax(x) . c)/dx at x=[0,0], c=[1,0]: analytic [0.25, -0.25]
-    x = np.array([0.0, 0.0])
-    c = np.array([[1.0, 0.0]])
+    # d(softmax(x) . c)/dx at x=[0,0] (a third key masked), c=[1,0,0]:
+    # analytic [0.25, -0.25, 0]
+    x = np.array([0.0, 0.0, 0.0])
+    c = np.array([[[1.0, 0.0, 0.0]]])
+    mask = np.array([[0.0, 0.0, ad.NEG_INF]])
 
     def loss_of():
-        p = ad.softmax(ad.constant(x.reshape(1, 2)))
+        p = _softmax_through_attention(x.reshape(1, 1, 3), mask=mask)
         return float((p.values * c).sum())
 
     tape = ad.Tape()
-    leaf = tape.leaf(x.reshape(1, 2))
-    loss = ad.tsum(ad.mul(ad.softmax(leaf), ad.constant(c)))
-    g = tape.backward(loss).of(leaf)[0]
-    assert np.allclose(g, [0.25, -0.25], atol=1e-10)
+    leaf = tape.leaf(x.reshape(1, 1, 3))
+    loss = ad.tsum(ad.mul(_softmax_through_attention(leaf, mask=mask), ad.constant(c)))
+    g = tape.backward(loss).of(leaf)[0, 0]
+    assert np.allclose(g, [0.25, -0.25, 0.0], atol=1e-10) and g[2] == 0.0
     for idx, expected in ((0, 0.25), (1, -0.25)):
         fd = fd_gradient(loss_of, x, idx, h=1e-5)
         assert rel_err(fd, expected) <= 1e-4
@@ -144,8 +180,6 @@ def test_gradients_all_kinds(rng):
         ("mul", lambda l: ad.mul(l[0], l[1]), [(3, 4), (3, 1)], {}),
         ("scale", lambda l: ad.scale(l[0], -2.5), [(3, 4)], {}),
         ("concat", lambda l: ad.concat([l[0], l[1]], axis=-1), [(3, 4), (3, 2)], {}),
-        ("softmax", lambda l: ad.softmax(l[0]), [(4, 6)], {}),
-        ("softmax-masked", lambda l: ad.softmax(l[0], mask=mask), [(4, 6)], {}),
         ("log_softmax", lambda l: ad.log_softmax(l[0], mask=mask), [(4, 6)],
          {"weight_filter": zero_masked}),
         ("relu", lambda l: ad.relu(l[0]), [(5, 5)], {"input_filter": away_from_kink}),
@@ -156,16 +190,46 @@ def test_gradients_all_kinds(rng):
         ("batchnorm-train", lambda l: ad.batchnorm(l[0], rm, rv, training=True), [(6, 3, 5)], {}),
         ("batchnorm-eval", lambda l: ad.batchnorm(l[0], rm, rv, training=False), [(6, 3, 5)], {}),
         ("reshape", lambda l: ad.reshape(l[0], (2, 10)), [(4, 5)], {}),
-        ("transpose", lambda l: ad.transpose(l[0], (1, 0, 2)), [(3, 4, 5)], {}),
         # the decoder's three uses: node rows (repeated here), a row per batch
         # element, and one entry per row
         ("take-slice", lambda l: ad.take(l[0], (slice(None), np.array([0, 2, 2, 1]))), [(2, 5, 3)], {}),
         ("take-row", lambda l: ad.take(l[0], (np.arange(3)[:, None], np.array([[1], [0], [3]]))),
          [(3, 4, 5)], {}),
         ("take-scalar", lambda l: ad.take(l[0], (np.arange(4), np.array([1, 0, 4, 4]))), [(4, 5)], {}),
-    ]
+    ] + attention_probe_cases()
     for name, builder, shapes, kw in cases:
         check_op_gradients(builder, shapes, rng, probes=100, **kw)
+
+
+def test_attention_matches_the_unfused_composition(rng):
+    """The fused kind against the numpy chain it replaced: equal forward
+    values, and gradients of all five inputs within 1e-12 relative."""
+    rows = rng.random((6, 9)) < 0.3
+    rows[:, 0] = False
+    pair = np.where(rows[:, :, None] | rows[:, None, :], ad.NEG_INF, 0.0)[:, None]
+    keys = rng.random((6, 12)) < 0.4
+    keys[:, 0] = False
+    key_mask = np.where(keys, ad.NEG_INF, 0.0)[:, None, None, :]
+    cases = [   # (B, Rq, Rk, d, heads, mask)
+        (6, 9, 9, 32, 4, pair),
+        (6, 1, 12, 32, 4, key_mask),
+        (6, 1, 12, 16, 1, key_mask),
+        (4, 1, 5, 32, 4, None),
+        (3, 4, 4, 8, 2, None),
+    ]
+    for b, rq, rk, d, heads, mask in cases:
+        arrays = [rng.standard_normal(s) for s in ((b, rq, d), (b, rk, d), (b, rk, d), (d, d), (d, d))]
+        ref, cache = unfused_attention.forward(*arrays, heads, mask)
+        tape = ad.Tape()
+        leaves = [tape.leaf(a) for a in arrays]
+        out = ad.attention(*leaves, heads=heads, mask=mask)
+        assert np.array_equal(out.values, ref)
+        w = rng.standard_normal(out.shape)
+        grads = tape.backward(ad.tsum(ad.mul(out, ad.constant(w))))
+        for leaf, expected in zip(leaves, unfused_attention.backward(cache, w)):
+            got = grads.of(leaf)
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_every_op_kind_is_issued_by_the_package(monkeypatch):
@@ -233,7 +297,7 @@ def test_tape_replay_bit_identical(rng):
         tape = ad.Tape()
         a = tape.leaf(x)
         b = tape.leaf(w)
-        out = ad.softmax(ad.matmul(ad.tanh(ad.matmul(a, b)), b, transpose_b=True))
+        out = ad.log_softmax(ad.matmul(ad.tanh(ad.matmul(a, b)), b, transpose_b=True))
         loss = ad.tsum(out)
         g = tape.backward(loss)
         return out.values.tobytes(), g.of(a).tobytes(), g.of(b).tobytes()

@@ -93,6 +93,20 @@ def test_solve_tsili_with_reference_gap(tmp_path, dataset_dir, capsys):
     assert "mean_gap=" in capsys.readouterr().out
 
 
+def test_solve_reports_budget_exhaustion_and_expansions(tmp_path, dataset_dir, capsys):
+    out = tmp_path / "exact"
+    code = run_cli(["solve", "--dataset", str(dataset_dir / "dataset.jsonl"),
+                    "--method", "exact", "--budget", "1", "--workers", "1", "--out", str(out)])
+    assert code == 0
+    rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    exhausted = sum(not r["optimal"] for r in rows)
+    expansions = sum(r["expansions"] for r in rows)
+    assert exhausted > 0
+    assert f"budget_exhausted={exhausted} expansions={expansions} " in capsys.readouterr().out
+    timings = (out / "timings.txt").read_text().splitlines()
+    assert f"budget_exhausted {exhausted}" in timings and f"expansions {expansions}" in timings
+
+
 def test_solve_size_limit_and_force(tmp_path):
     big = tmp_path / "big"
     run_cli(["generate", "--n", "9", "--k", "2", "--t-max", "1.2", "--count", "2",
@@ -303,7 +317,8 @@ def test_eval_fails_on_an_unverified_solution(tmp_path, dataset_dir, trained_dir
                     "--d", "16", "--heads", "2", "--ff-dim", "32", "--enc-layers", "1",
                     "--out", str(out)])
     assert code == 2
-    assert "InferenceError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "InferenceError: instance 0, strategy greedy:" in err and "planted" in err
     left = os.listdir(out)
     assert "results.csv" not in left and not [name for name in left if name.endswith(".tmp")]
 

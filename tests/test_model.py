@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mstoplab import autodiff as ad
 from mstoplab import env
 from mstoplab import model as mdl
 from mstoplab.autodiff import NEG_INF, Tape
@@ -377,6 +378,35 @@ def test_decode_distribution_contract(params):
     # feasible log-probabilities differ by logit differences, which the clamp bounds
     logp = np.log(probs[feas])
     assert logp.max() - logp.min() <= 2 * LOGIT_CLAMP + 1e-9
+
+
+def test_taped_encoder_and_decoder_step_op_kinds(params, monkeypatch):
+    """Each attention block is one ``attention`` op, and the only ``reshape``
+    left is the one that flattens the logits."""
+    issued, real = [], ad.forward
+
+    def recording(kind, inputs, attrs=None):
+        issued.append(kind)
+        return real(kind, inputs, attrs)
+
+    monkeypatch.setattr(ad, "forward", recording)
+    inst = tiny_instance(seed=5)
+    state = env.reset([inst, inst], [(0, 1), (1, 0)])
+    bind = mdl._Binding(params.copy(), Tape())
+    emb = encode_states(state, bind, CFG, tape=bind.tape, bn_training=True)
+    layer = ["matmul", "matmul", "attention", "add", "batchnorm", "matmul", "relu", "matmul", "add",
+             "batchnorm"]
+    assert issued == ["matmul", "matmul", "matmul", "concat"] + layer * CFG.encoder_layers + ["matmul"]
+
+    dec = RouteDecoder(emb, bind, CFG, state.active_vehicle)
+    mask = np.where(env.feasible_mask(state), 0.0, NEG_INF)
+    head = ["concat", "matmul", "add"]
+    tail = ["add", "matmul", "matmul", "scale", "tanh", "scale", "reshape", "log_softmax"]
+    for hist in ([], ["concat"]):
+        issued.clear()
+        logp = dec.step(state.fuel, mask)
+        assert issued == head + (hist + ["matmul", "matmul", "attention", "attention"]) * CFG.decoder_layers + tail
+        dec.advance(np.argmax(logp.values, axis=1))
 
 
 def test_decode_point_mass_when_everything_masked(params):
