@@ -37,8 +37,8 @@ while True:
 
 print("\nfull greedy and sampled rollouts under both vehicle orders:")
 for order in ((0, 1), (1, 0)):
-    greedy = mdl.rollout_states([inst], [order], params, cfg, mode="greedy").trajectory(0)
-    sampled = mdl.rollout_states([inst], [order], params, cfg, mode="sample",
+    greedy = mdl.rollout_states([inst], [order], params, cfg).trajectory(0)
+    sampled = mdl.rollout_states([inst], [order], params, cfg,
                                  rng=np.random.default_rng(11)).trajectory(0)
     print(f"  order {order}: greedy reward {greedy.reward:.0f} routes {greedy.routes}; "
           f"sampled reward {sampled.reward:.0f} (log-prob {sampled.log_prob:.2f})")

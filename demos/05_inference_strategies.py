@@ -38,5 +38,5 @@ print("\nwhy permutations matter: the two vehicle orders can find different tour
 print("because the first vehicle commits to its whole route before the second starts:")
 inst = generate(GenConfig(n=6, k=2, t_max=1.5, seed=4))
 for order in ((0, 1), (1, 0)):
-    traj = rollout_states([inst], [order], params, cfg, mode="greedy").trajectory(0)
+    traj = rollout_states([inst], [order], params, cfg).trajectory(0)
     print(f"  order {order}: reward {traj.reward:.0f}, routes {traj.routes}")

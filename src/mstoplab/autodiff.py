@@ -20,6 +20,11 @@ import numpy as np
 # Additive-mask sentinel used by callers that need a finite "minus infinity".
 NEG_INF = -1e9
 
+# Batch norm: weight of a batch's statistics in the running buffers, and the
+# variance floor.
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
 
 class AutodiffError(Exception):
     pass
@@ -221,12 +226,6 @@ def _op_mul(vals, attrs, needs):
     return out, backward
 
 
-def _op_scale(vals, attrs, needs):
-    (a,) = vals
-    c = float(attrs["factor"])
-    return a * c, lambda g: (g * c,)
-
-
 def _op_concat(vals, attrs, needs):
     axis = attrs.get("axis", -1)
     ref = vals[0].ndim
@@ -374,54 +373,43 @@ def _op_exp(vals, attrs, needs):
     return out, lambda g: (g * out,)
 
 
-def _sum_backward(g, x_shape, axis, keepdims):
+def _sum_backward(g, x_shape, axis):
     if axis is None:
         return np.full(x_shape, 1.0, dtype=np.float64) * g
-    if not keepdims:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, x_shape).copy()
+    return np.broadcast_to(np.expand_dims(g, axis), x_shape).copy()
 
 
 def _op_sum(vals, attrs, needs):
     (x,) = vals
     axis = attrs.get("axis")
-    keepdims = attrs.get("keepdims", False)
-    out = x.sum(axis=axis, keepdims=keepdims)
-    return out, lambda g: (_sum_backward(g, x.shape, axis, keepdims),)
+    return x.sum(axis=axis), lambda g: (_sum_backward(g, x.shape, axis),)
 
 
 def _op_batchnorm(vals, attrs, needs):
     """Normalize each last-axis channel over all leading axes.
 
-    Training mode uses batch statistics (differentiable) and, when
-    ``update_stats`` is set, folds them into the running buffers with the given
-    momentum. Evaluation mode (or a single-sample batch) is a deterministic
-    affine map built from the frozen running statistics.
+    Training mode uses batch statistics (differentiable) and folds them into
+    the running buffers with momentum ``BN_MOMENTUM``. Evaluation mode is a
+    deterministic affine map built from the frozen running statistics.
     """
     (x,) = vals
     running_mean = attrs["running_mean"]
     running_var = attrs["running_var"]
-    eps = attrs.get("eps", 1e-5)
-    momentum = attrs.get("momentum", 0.1)
-    training = attrs.get("training", False)
-    update_stats = attrs.get("update_stats", False)
     if x.ndim < 2:
         raise ShapeMismatchError("batchnorm", f"need at least 2-D input, got {x.shape}")
     if running_mean.shape != (x.shape[-1],) or running_var.shape != (x.shape[-1],):
         raise ShapeMismatchError(
             "batchnorm", f"running stats {running_mean.shape}/{running_var.shape} do not match channels {x.shape[-1]}")
     axes = tuple(range(x.ndim - 1))
-    n = int(np.prod([x.shape[i] for i in axes]))
 
-    if training and n > 1:
+    if attrs["training"]:
         mu = x.mean(axis=axes)
         var = x.var(axis=axes)
-        if update_stats:
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mu
-            running_var *= 1.0 - momentum
-            running_var += momentum * var
-        inv_std = 1.0 / np.sqrt(var + eps)
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mu
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mu) * inv_std
         out = xhat
 
@@ -432,8 +420,7 @@ def _op_batchnorm(vals, attrs, needs):
 
         return out, backward
 
-    # eval mode / single-sample fallback: frozen affine map
-    inv_std = 1.0 / np.sqrt(running_var + eps)
+    inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
     out = (x - running_mean) * inv_std
     return out, lambda g: (g * inv_std,)
 
@@ -468,7 +455,6 @@ OP_KINDS = {
     "matmul": _op_matmul,
     "add": _op_add,
     "mul": _op_mul,
-    "scale": _op_scale,
     "concat": _op_concat,
     "attention": _op_attention,
     "log_softmax": _op_log_softmax,
@@ -530,10 +516,6 @@ def mul(a, b):
     return forward("mul", [a, b])
 
 
-def scale(a, factor):
-    return forward("scale", [a], {"factor": factor})
-
-
 def concat(tensors, axis=-1):
     return forward("concat", tensors, {"axis": axis})
 
@@ -558,15 +540,13 @@ def exp(x):
     return forward("exp", [x])
 
 
-def tsum(x, axis=None, keepdims=False):
-    return forward("sum", [x], {"axis": axis, "keepdims": keepdims})
+def tsum(x, axis=None):
+    return forward("sum", [x], {"axis": axis})
 
 
-def batchnorm(x, running_mean, running_var, *, training, momentum=0.1, eps=1e-5, update_stats=False):
+def batchnorm(x, running_mean, running_var, *, training):
     return forward("batchnorm", [x], {
-        "running_mean": running_mean, "running_var": running_var,
-        "training": training, "momentum": momentum, "eps": eps,
-        "update_stats": update_stats,
+        "running_mean": running_mean, "running_var": running_var, "training": training,
     })
 
 

@@ -29,8 +29,8 @@ from .inference import InferConfig, InferenceError, infer
 from .instances import (DATASET_VERSION, GenConfig, PRESETS, PRIZE_MODES,
                         generate_many, load_dataset, save_dataset)
 from .model import DdtmConfig, DdtmParameters
-from .oracle import TsiliParams, brute_force_enum, solve_exact, tsili_solve
-from .training import TrainConfig, metrics_rows, train
+from .oracle import EXACT_BUDGET, TsiliParams, brute_force_enum, solve_exact, tsili_solve
+from .training import BASELINES, TrainConfig, metrics_rows, train
 
 EXACT_N_LIMIT = 12
 BRUTE_N_LIMIT = 8
@@ -80,6 +80,11 @@ def _gen_config(args) -> GenConfig:
     return cfg
 
 
+def _model_manifest(cfg: DdtmConfig) -> dict:
+    return {"d": cfg.d, "heads": cfg.heads, "ff_dim": cfg.ff_dim,
+            "enc_layers": cfg.encoder_layers, "dec_layers": cfg.decoder_layers}
+
+
 def _model_config(args) -> DdtmConfig:
     if getattr(args, "paper_scale", False):
         return DdtmConfig.paper_scale()
@@ -94,20 +99,20 @@ def _add_gen_flags(p, with_count=True):
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--prizes", choices=PRIZE_MODES, default="constant")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--prizes", choices=PRIZE_MODES, default=GenConfig.prize_mode)
+    p.add_argument("--seed", type=int, default=GenConfig.seed)
     if with_count:
         p.add_argument("--count", type=int, default=100)
 
 
 def _add_model_flags(p):
-    p.add_argument("--d", type=int, default=32)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--ff-dim", type=int, default=128)
-    p.add_argument("--enc-layers", type=int, default=2)
-    p.add_argument("--dec-layers", type=int, default=1)
+    p.add_argument("--d", type=int, default=DdtmConfig.d)
+    p.add_argument("--heads", type=int, default=DdtmConfig.heads)
+    p.add_argument("--ff-dim", type=int, default=DdtmConfig.ff_dim)
+    p.add_argument("--enc-layers", type=int, default=DdtmConfig.encoder_layers)
+    p.add_argument("--dec-layers", type=int, default=DdtmConfig.decoder_layers)
     p.add_argument("--paper-scale", action="store_true",
-                   help="use the large preset (d=128, 8 heads, 4 encoder / 2 decoder layers)")
+                   help=f"use the large preset {DdtmConfig.paper_scale()}")
 
 
 # --- generate ----------------------------------------------------------------
@@ -212,8 +217,7 @@ def cmd_train(args) -> int:
     _write_manifest(out, "train", {
         "gen": {"n": gen_cfg.n, "k": gen_cfg.k, "t_max": gen_cfg.t_max,
                 "prize_mode": gen_cfg.prize_mode},
-        "model": {"d": model_cfg.d, "heads": model_cfg.heads, "ff_dim": model_cfg.ff_dim,
-                  "enc_layers": model_cfg.encoder_layers, "dec_layers": model_cfg.decoder_layers},
+        "model": _model_manifest(model_cfg),
         "train": {"epochs": train_cfg.epochs, "steps": train_cfg.steps_per_epoch,
                   "batch": train_cfg.batch, "k_aug": train_cfg.k_aug,
                   "alpha": train_cfg.alpha, "baseline": train_cfg.baseline,
@@ -331,9 +335,7 @@ def cmd_eval(args) -> int:
     _write_manifest(out, "eval", {
         "dataset": args.dataset, "checkpoint": args.checkpoint,
         "strategies": strategies, "sample_width": args.sample_width,
-        "seed": args.seed, "reference": ref_label,
-        "model": {"d": model_cfg.d, "heads": model_cfg.heads, "ff_dim": model_cfg.ff_dim,
-                  "enc_layers": model_cfg.encoder_layers, "dec_layers": model_cfg.decoder_layers},
+        "seed": args.seed, "reference": ref_label, "model": _model_manifest(model_cfg),
     })
     print(f"reference: {ref_label}")
     print("\n".join(table))
@@ -356,12 +358,12 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--method", choices=("exact", "brute", "tsili"), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=EXACT_BUDGET)
     p.add_argument("--workers", type=int, default=0, help="0 = logical cores")
     p.add_argument("--force", action="store_true", help="override solver size limits")
-    p.add_argument("--tsili-width", type=int, default=1280)
-    p.add_argument("--tsili-r", type=float, default=4.0)
-    p.add_argument("--tsili-candidates", type=int, default=4)
+    p.add_argument("--tsili-width", type=int, default=TsiliParams.samples)
+    p.add_argument("--tsili-r", type=float, default=TsiliParams.exponent)
+    p.add_argument("--tsili-candidates", type=int, default=TsiliParams.candidates)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ref", default=None, help="results.jsonl with reference objectives for gaps")
     p.set_defaults(func=cmd_solve)
@@ -370,18 +372,17 @@ def build_parser() -> _Parser:
     _add_gen_flags(p, with_count=False)
     _add_model_flags(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--baseline", choices=("batch-mean", "greedy-rollout", "instance-aug"),
-                   default="instance-aug")
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--clip-norm", type=float, default=1.0)
-    p.add_argument("--val-size", type=int, default=100)
-    p.add_argument("--seed-data", type=int, default=0)
-    p.add_argument("--seed-model", type=int, default=0)
-    p.add_argument("--seed-rollout", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--steps", type=int, default=TrainConfig.steps_per_epoch)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch)
+    p.add_argument("--alpha", type=float, default=TrainConfig.alpha)
+    p.add_argument("--baseline", choices=BASELINES, default=TrainConfig.baseline)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--clip-norm", type=float, default=TrainConfig.clip_norm)
+    p.add_argument("--val-size", type=int, default=TrainConfig.validation_size)
+    p.add_argument("--seed-data", type=int, default=TrainConfig.seed_data)
+    p.add_argument("--seed-model", type=int, default=TrainConfig.seed_model)
+    p.add_argument("--seed-rollout", type=int, default=TrainConfig.seed_rollout)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint with decoding strategies")
@@ -390,8 +391,8 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--strategies", default="greedy,perm,perm-aug")
-    p.add_argument("--sample-width", type=int, default=1280)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sample-width", type=int, default=InferConfig.sample_width)
+    p.add_argument("--seed", type=int, default=InferConfig.seed)
     p.add_argument("--reference", choices=("auto", "exact", "best"), default="auto")
     p.set_defaults(func=cmd_eval)
     return parser

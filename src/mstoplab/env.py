@@ -257,6 +257,8 @@ def replay(instances, orders, actions):
     record a batch rollout returns). Returns a list with one
     :class:`Trajectory` per row; log-probabilities are recorded as zero.
     """
+    if isinstance(instances, Instance):
+        raise TypeError("replay takes a list with one instance per row, not a lone Instance")
     state = reset(instances, orders)
     record = np.array(actions, dtype=np.intp).reshape(len(state), -1)
     for col in record.T:

@@ -53,10 +53,6 @@ class TrajectoryCensus:
         return len(self.rewards)
 
 
-def _greedy(instances, orders, params, cfg) -> mdl.BatchRollout:
-    return mdl.rollout_states(instances, orders, params, cfg, mode="greedy")
-
-
 def infer(inst: Instance, params: DdtmParameters, cfg: DdtmConfig,
           infer_cfg: InferConfig) -> tuple:
     """Best solution under the chosen strategy, plus a census of all
@@ -67,27 +63,27 @@ def infer(inst: Instance, params: DdtmParameters, cfg: DdtmConfig,
 
     # rewards in evaluation order, and the trajectory of entry i
     if infer_cfg.strategy == "greedy":
-        roll = _greedy([inst], [identity], params, cfg)
+        roll = mdl.rollout_states([inst], [identity], params, cfg)
         rewards, trajectory = roll.rewards, roll.trajectory
 
     elif infer_cfg.strategy == "sampling":
         # the greedy trajectory comes first, so sampling never falls below greedy
         width = infer_cfg.sample_width
         roll = mdl.rollout_states([inst] * width, [identity] * width, params, cfg,
-                                  mode="sample", rng=np.random.default_rng(infer_cfg.seed))
-        greedy = _greedy([inst], [identity], params, cfg)
+                                  rng=np.random.default_rng(infer_cfg.seed))
+        greedy = mdl.rollout_states([inst], [identity], params, cfg)
         rewards = np.concatenate([greedy.rewards, roll.rewards])
         trajectory = lambda i: greedy.trajectory(0) if i == 0 else roll.trajectory(i - 1)
 
     elif infer_cfg.strategy == "perm":
-        roll = _greedy([inst] * len(perms), perms, params, cfg)
+        roll = mdl.rollout_states([inst] * len(perms), perms, params, cfg)
         rewards, trajectory = roll.rewards, roll.trajectory
 
     else:  # perm-aug
         symmetric = [apply_symmetry(inst, s) for s in range(N_SYMMETRIES)]
         variants = [(p, s) for p in perms for s in range(N_SYMMETRIES)]
         orders = [p for p, _ in variants]
-        roll = _greedy([symmetric[s] for _, s in variants], orders, params, cfg)
+        roll = mdl.rollout_states([symmetric[s] for _, s in variants], orders, params, cfg)
         # decode ran on transformed coordinates; score on the original
         replayed = env.replay([inst] * len(variants), orders, roll.actions)
         rewards, trajectory = np.array([t.reward for t in replayed]), replayed.__getitem__

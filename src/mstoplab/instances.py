@@ -105,31 +105,26 @@ class Instance:
     def customer_xy(self) -> np.ndarray:
         return self.node_xy()[1:self.n + 1]
 
-    def vehicle_xy(self) -> np.ndarray:
-        return self.node_xy()[self.n + 1:]
-
     def fuels(self) -> np.ndarray:
         return self._cached("_fuels", lambda: np.array([v[2] for v in self.vehicles], dtype=np.float64))
 
-    def _legs_from(self, xy) -> np.ndarray:
-        to = self.node_xy()[:self.n + 1]
-        return np.hypot(to[None, :, 0] - xy[:, None, 0], to[None, :, 1] - xy[:, None, 1])
-
     def legs(self) -> np.ndarray:
         """Distances from every node to the depot and to every customer,
-        (1 + n + K, 1 + n), cached: row = from, column = to."""
-        return self._cached("_legs", lambda: self._legs_from(self.node_xy()))
+        (1 + n + K, 1 + n), cached: row = from, column = to. The environment
+        and the solvers all read this one table."""
+        def build():
+            xy = self.node_xy()
+            to = xy[:self.n + 1]
+            return np.hypot(to[None, :, 0] - xy[:, None, 0], to[None, :, 1] - xy[:, None, 1])
+        return self._cached("_legs", build)
 
     def start_legs(self) -> np.ndarray:
-        """The vehicle-start rows of ``legs``, (K, 1 + n), cached on their own."""
-        return self._cached("_start_legs", lambda: self._legs_from(self.vehicle_xy()))
+        """The vehicle-start rows of ``legs``, (K, 1 + n)."""
+        return self.legs()[self.n + 1:]
 
     def depot_legs(self) -> np.ndarray:
-        """Customer-to-depot distances (return legs), cached."""
-        def build():
-            cxy = self.customer_xy()
-            return np.hypot(cxy[:, 0] - self.depot[0], cxy[:, 1] - self.depot[1])
-        return self._cached("_depot_legs", build)
+        """Customer-to-depot distances (return legs), a column of ``legs``."""
+        return self.legs()[1:self.n + 1, 0]
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,11 @@ attention) is one ``attention`` op on keys and values projected by plain
 matmuls; the op splits them into heads itself.
 
 Masking is additive (large-negative logits) throughout, so masked actions get
-probability exactly zero. All rollouts are deterministic given parameters,
-instance, vehicle order, mode, and seed.
+probability exactly zero. A rollout samples its actions when it is given a
+random generator and decodes greedily when it is not: training samples on a
+tape with batch statistics, inference decodes untaped either way. All
+rollouts are deterministic given parameters, instances, vehicle orders and
+the generator's seed.
 """
 
 from __future__ import annotations
@@ -201,7 +204,7 @@ class Embeddings:
     k: int
 
 
-def _encode(depot, cust, veh, masked, bind, cfg: DdtmConfig, bn_training, update_stats):
+def _encode(depot, cust, veh, masked, bind, cfg: DdtmConfig, bn_training):
     """Encoder body: (rows, graph) for per-row depot, customer and vehicle
     inputs and masked-row flags. Each layer is one ``attention`` op over the
     rows (pairs with a masked row masked out), then batch-norm, residual and
@@ -223,11 +226,11 @@ def _encode(depot, cust, veh, masked, bind, cfg: DdtmConfig, bn_training, update
                            bind(f"enc{l}_wq"), bind(f"enc{l}_wout"), cfg.heads, att_bias)
         h = ad.batchnorm(ad.add(rows, mha),
                          bind.stat(f"enc{l}_bn1_mean"), bind.stat(f"enc{l}_bn1_var"),
-                         training=bn_training, update_stats=update_stats)
+                         training=bn_training)
         ff = ad.matmul(ad.relu(ad.matmul(h, bind(f"enc{l}_ff_w0"))), bind(f"enc{l}_ff_w1"))
         rows = ad.batchnorm(ad.add(h, ff),
                             bind.stat(f"enc{l}_bn2_mean"), bind.stat(f"enc{l}_bn2_var"),
-                            training=bn_training, update_stats=update_stats)
+                            training=bn_training)
 
     keep = (~masked).astype(np.float64)
     weights = (keep / keep.sum(axis=1, keepdims=True))[:, None, :]
@@ -235,7 +238,7 @@ def _encode(depot, cust, veh, masked, bind, cfg: DdtmConfig, bn_training, update
 
 
 def encode_states(state: env.State, params: DdtmParameters, cfg: DdtmConfig, *,
-                  tape=None, bn_training=False, update_stats=False) -> Embeddings:
+                  tape=None, bn_training=False) -> Embeddings:
     """Encoder forward over every row of a state; rollouts call it at the
     start of every vehicle slot.
 
@@ -268,7 +271,7 @@ def encode_states(state: env.State, params: DdtmParameters, cfg: DdtmConfig, *,
             encoded = np.fromiter(first.values(), np.intp, len(first))
             source = np.searchsorted(encoded, src)
     rows, graph = _encode(depot[encoded], cust[encoded], veh[encoded], masked[encoded], bind, cfg,
-                          bn_training, update_stats)
+                          bn_training)
     return Embeddings(rows=rows, graph=graph, source=source, n=n, k=k)
 
 
@@ -345,8 +348,8 @@ class RouteDecoder:
                              cfg.heads, key_mask)
             self.hist[l].append(x_in)
         q = ad.matmul(ad.add(x, self.graph_q), bind("final_wq"))    # (G, 1, d)
-        raw = ad.scale(ad.matmul(q, self.k_final, transpose_b=True), 1.0 / math.sqrt(cfg.d))
-        logits = ad.reshape(ad.scale(ad.tanh(raw), LOGIT_CLAMP), (b, self.n + 1))
+        raw = ad.mul(ad.matmul(q, self.k_final, transpose_b=True), 1.0 / math.sqrt(cfg.d))
+        logits = ad.reshape(ad.mul(ad.tanh(raw), LOGIT_CLAMP), (b, self.n + 1))
         return ad.log_softmax(logits, mask=action_mask_add)
 
     def advance(self, actions: np.ndarray):
@@ -409,13 +412,18 @@ def _sample_rows(probs: np.ndarray, group: np.ndarray, rng) -> np.ndarray:
 
 
 def _entropy(logp: Tensor) -> Tensor:
-    return ad.scale(ad.tsum(ad.mul(ad.exp(logp), logp), axis=-1), -1.0)
+    return ad.mul(ad.tsum(ad.mul(ad.exp(logp), logp), axis=-1), -1.0)
 
 
 def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
-                   mode="greedy", rng=None, tape=None, bn_training=False,
-                   update_stats=False, forced_actions=None) -> BatchRollout:
+                   rng=None, tape=None, bn_training=False) -> BatchRollout:
     """Lockstep batched rollout over instances with per-instance vehicle orders.
+
+    Given a generator ``rng``, each row samples its actions from the policy;
+    without one, each row takes the most probable action, ties going to the
+    lowest node index. ``tape`` records the rollout for a backward pass, and
+    ``bn_training`` normalizes with batch statistics and folds them into the
+    running buffers of ``params``.
 
     Every vehicle slot is decoded jointly: rows whose route already ended
     keep only the depot feasible, so their point-mass distribution adds
@@ -423,18 +431,8 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
     and the environment leaves them unchanged until the slot ends. Untaped,
     those rows leave the decoder and the open rows are decoded once per
     group (see :class:`RouteDecoder`); each row still takes its own action
-    and adds its own terms to the sums. Greedy mode breaks probability ties
-    toward the lowest node index. Replay mode takes ``forced_actions`` as
-    the (B, T) action record of an earlier rollout of the same instances
-    and orders.
+    and adds its own terms to the sums.
     """
-    if mode not in ("greedy", "sample", "replay"):
-        raise ValueError(f"unknown rollout mode '{mode}'")
-    if mode == "sample" and rng is None:
-        raise ValueError("sample mode needs an rng")
-    if mode == "replay" and forced_actions is None:
-        raise ValueError("replay mode needs forced_actions")
-    forced = np.asarray(forced_actions, dtype=np.intp) if mode == "replay" else None
     state = env.reset(list(instances), list(orders))
     b = len(state)
     bind = _Binding(params, tape)
@@ -445,8 +443,7 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
     alive_steps = 0
 
     for slot in range(state.orders.shape[1]):
-        emb = encode_states(state, bind, cfg, tape=tape,
-                            bn_training=bn_training, update_stats=update_stats)
+        emb = encode_states(state, bind, cfg, tape=tape, bn_training=bn_training)
         dec = RouteDecoder(emb, bind, cfg, state.orders[:, slot])
         open_rows = np.ones(b, dtype=bool)
         while open_rows.any():
@@ -457,14 +454,10 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
             if not np.isfinite(probs).all():
                 raise ad.NonFiniteError("decode produced non-finite action probabilities")
             # rows that left the decoder (group -1) are set to the depot below
-            if mode == "greedy":
+            if rng is None:
                 actions = probs.argmax(axis=1)[dec.group]
-            elif mode == "sample":
-                actions = _sample_rows(probs, dec.group, rng)
-            elif len(record) < forced.shape[1]:
-                actions = forced[:, len(record)]
             else:
-                raise ValueError("forced actions end before the rollout does")
+                actions = _sample_rows(probs, dec.group, rng)
             actions = np.where(open_rows, actions, 0)
             if dec.shared:
                 # a finished row adds what its point mass at the depot would:

@@ -26,6 +26,7 @@ from .env import EPS
 from .instances import Instance, euclidean
 
 _TINY = 1e-12
+EXACT_BUDGET = 10_000_000    # node expansions before solve_exact gives up on optimality
 
 
 @dataclass(frozen=True)
@@ -50,17 +51,16 @@ class TsiliParams:
 
 
 def _geometry(inst: Instance):
-    """Plain-list inputs of the solvers: distances between node references,
-    customer prizes, vehicle fuels, every node's leg to the depot, and each
-    vehicle's start reference."""
-    pts = inst.node_xy()
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = np.sqrt((diff * diff).sum(-1)).tolist()
+    """Plain-list inputs of the solvers: the environment's distances from
+    every node reference to the depot and the customers, customer prizes,
+    vehicle fuels, every node's leg to the depot, and each vehicle's start
+    reference."""
+    d = inst.legs().tolist()
     dret = [d[j][0] for j in range(inst.n + 1)]
     return d, inst.prizes().tolist(), inst.fuels().tolist(), dret, [inst.n + 1 + k for k in range(inst.k)]
 
 
-def solve_exact(inst: Instance, budget: int = 10_000_000) -> Solution:
+def solve_exact(inst: Instance, budget: int = EXACT_BUDGET) -> Solution:
     """Optimal solution via branch-and-bound; ``optimal`` is False only when
     the node-expansion budget runs out (the best incumbent is still returned).
     """

@@ -120,7 +120,7 @@ def baseline_batch_mean(rewards: np.ndarray) -> float:
 
 def baseline_greedy_rollout(instances, orders, frozen_params: DdtmParameters, cfg: DdtmConfig) -> np.ndarray:
     """Greedy decode of the frozen policy on each instance (same vehicle order)."""
-    roll = mdl.rollout_states(list(instances), list(orders), frozen_params, cfg, mode="greedy")
+    roll = mdl.rollout_states(list(instances), list(orders), frozen_params, cfg)
     return roll.rewards
 
 
@@ -128,8 +128,8 @@ def surrogate_loss(roll: mdl.BatchRollout, advantages: np.ndarray, alpha: float)
     """Assemble the scalar surrogate on the rollout's tape."""
     total = roll.rewards.shape[0]
     weighted = ad.mul(roll.logp_sum, ad.constant(advantages))
-    combined = ad.add(weighted, ad.scale(roll.entropy_sum, alpha))
-    return ad.scale(ad.tsum(combined), -1.0 / total)
+    combined = ad.add(weighted, ad.mul(roll.entropy_sum, alpha))
+    return ad.mul(ad.tsum(combined), -1.0 / total)
 
 
 def reinforce_step(raw_instances, orders, params: DdtmParameters, adam: AdamState,
@@ -147,8 +147,7 @@ def reinforce_step(raw_instances, orders, params: DdtmParameters, adam: AdamStat
     tape = Tape()
     try:
         roll = mdl.rollout_states(batch_instances, batch_orders, params, model_cfg,
-                                  mode="sample", rng=rollout_rng, tape=tape,
-                                  bn_training=True, update_stats=True)
+                                  rng=rollout_rng, tape=tape, bn_training=True)
     except ad.NonFiniteError as err:
         raise TrainingError(f"non-finite values during rollout: {err}") from err
     rewards = roll.rewards
@@ -197,7 +196,7 @@ def validate_greedy(params: DdtmParameters, model_cfg: DdtmConfig, instances) ->
     if not instances:
         return 0.0
     orders = [tuple(range(inst.k)) for inst in instances]
-    roll = mdl.rollout_states(list(instances), orders, params, model_cfg, mode="greedy")
+    roll = mdl.rollout_states(list(instances), orders, params, model_cfg)
     return float(roll.rewards.mean())
 
 

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from mstoplab import autodiff as ad
+from mstoplab import model
 from mstoplab.instances import GenConfig, Instance, generate
 from mstoplab.model import rollout_states
 
@@ -92,11 +95,28 @@ def generous_instance(n=5, k=2) -> Instance:
                     t_max=10.0)
 
 
-def rollout_one(inst, order, params, cfg, mode="greedy", seed=None):
-    """Untaped rollout of one instance under one vehicle order (sample mode
-    draws with ``seed``); returns its trajectory."""
-    rng = np.random.default_rng(seed) if mode == "sample" else None
-    return rollout_states([inst], [order], params, cfg, mode=mode, rng=rng).trajectory(0)
+def rollout_one(inst, order, params, cfg, seed=None):
+    """Untaped rollout of one instance under one vehicle order, sampled with
+    ``seed`` when one is given and greedy otherwise; returns its trajectory."""
+    rng = None if seed is None else np.random.default_rng(seed)
+    return rollout_states([inst], [order], params, cfg, rng=rng).trajectory(0)
+
+
+def forced_rollout(instances, orders, params, cfg, actions, **kw):
+    """Teacher forcing: a sampled rollout whose draws are replaced, step by
+    step, by the columns of ``actions``, the (B, T) action record of an
+    earlier rollout of the same instances and orders. ``kw`` passes ``tape``
+    and ``bn_training`` on to ``rollout_states``."""
+    columns = iter(np.asarray(actions, dtype=np.intp).T)
+
+    def forced(probs, group, rng):
+        column = next(columns, None)
+        if column is None:
+            raise ValueError("forced actions end before the rollout does")
+        return column
+
+    with mock.patch.object(model, "_sample_rows", forced):
+        return rollout_states(instances, orders, params, cfg, rng=np.random.default_rng(0), **kw)
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ class ScalarState:
 
 
 def reset(inst: Instance, order) -> ScalarState:
-    return ScalarState(inst, inst.prizes().copy(), inst.vehicle_xy().copy(), inst.fuels().copy(),
+    return ScalarState(inst, inst.prizes().copy(), inst.node_xy()[inst.n + 1:].copy(), inst.fuels().copy(),
                        np.zeros(inst.k), np.zeros(inst.k, dtype=bool), np.zeros(inst.n, dtype=bool),
                        tuple(int(v) for v in order), 0)
 

@@ -200,6 +200,15 @@ def test_reward_requires_terminal_trajectory():
         replay([inst], [(0, 1)], [[0, 0, 1]])  # acts after the terminal state
 
 
+def test_replay_rejects_a_lone_instance():
+    """``replay`` takes one instance per row; the one-row form of ``reset``
+    would otherwise turn a lone instance into a silent one-element list."""
+    inst = generous_instance(n=2, k=2)
+    with pytest.raises(TypeError, match="one instance per row"):
+        replay(inst, (0, 1), [0, 0])
+    assert replay([inst], [(0, 1)], [[0, 0]])[0].reward == 0.0
+
+
 # --- invariants --------------------------------------------------------------------
 
 def test_feasibility_preserved_over_random_walk(rng):
@@ -230,7 +239,7 @@ def test_route_length_bounded_by_initial_fuel(rng):
         inst = generate(GenConfig(n=7, k=2, t_max=1.8, seed=seed))
         traj = replay([inst], [(0, 1)], [random_episode(inst, (0, 1), rng)[0]])[0]
         for k, route in enumerate(traj.routes):
-            pts = [tuple(inst.vehicle_xy()[k])] + [inst.point(c) for c in route] + [inst.depot]
+            pts = [tuple(inst.node_xy()[inst.n + 1 + k])] + [inst.point(c) for c in route] + [inst.depot]
             length = sum(math.dist(a, b) for a, b in zip(pts[:-1], pts[1:]))
             assert length <= inst.fuels()[k] + EPS
 
@@ -329,7 +338,7 @@ def test_batch_env_matches_scalar_reference_on_policy_trajectories():
     cfg = DdtmConfig(d=16, heads=2, ff_dim=32, encoder_layers=1, decoder_layers=1)
     params = DdtmParameters.init(cfg, seed=2)
     insts, orders = mixed_batch(rng)
-    roll = mdl.rollout_states(insts, orders, params, cfg, mode="sample", rng=rng)
+    roll = mdl.rollout_states(insts, orders, params, cfg, rng=rng)
     st = reset(insts, orders)
     refs = [scalar_env.reset(x, o) for x, o in zip(insts, orders)]
     for col in roll.actions.T:

@@ -38,7 +38,7 @@ def test_perm_census_two_vehicles(params):
     assert census.count == 2
     # one greedy rollout per vehicle order, in permutation order
     orders = [(0, 1), (1, 0)]
-    greedy = rollout_states([inst] * 2, orders, params, CFG, mode="greedy")
+    greedy = rollout_states([inst] * 2, orders, params, CFG)
     assert np.array_equal(census.rewards, greedy.rewards)
     assert sol.objective == census.rewards.max()
 

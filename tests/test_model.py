@@ -14,7 +14,7 @@ from mstoplab.model import (LOGIT_CLAMP, DdtmConfig, DdtmParameters, RouteDecode
                             encode_states, parameter_schema, positional_encoding)
 from mstoplab.oracle import solve_exact
 
-from conftest import generous_instance, rollout_one, tiny_instance
+from conftest import forced_rollout, generous_instance, rollout_one, tiny_instance
 
 CFG = DdtmConfig()
 
@@ -192,8 +192,7 @@ def mid_rollout_states(instances, params, seed):
     """Every non-terminal state of a sampled rollout of ``instances`` (one
     row each, identity order), replayed step by step."""
     orders = [tuple(range(instances[0].k))] * len(instances)
-    roll = mdl.rollout_states(instances, orders, params, CFG, mode="sample",
-                              rng=np.random.default_rng(seed))
+    roll = mdl.rollout_states(instances, orders, params, CFG, rng=np.random.default_rng(seed))
     state, states = env.reset(instances, orders), []
     for col in roll.actions.T:
         if not state.terminal.any():
@@ -261,13 +260,17 @@ def test_rows_differing_only_in_masked_flags_are_encoded_apart(params):
     assert_encoding_matches_taped(parked, params)
 
 
-def assert_rollout_matches_taped(instances, orders, params, seed=None, **kw):
+def assert_rollout_matches_taped(instances, orders, params, seed=None, actions=None):
     """The untaped rollout (grouped decoding) against the taped one, which
-    decodes every row, bit for bit; ``seed`` seeds a sampling rollout."""
-    untaped, taped = [mdl.rollout_states(instances, orders, params, CFG, tape=tape,
-                                         rng=None if seed is None else np.random.default_rng(seed),
-                                         **kw)
-                      for tape in (None, Tape())]
+    decodes every row, bit for bit; ``seed`` seeds a sampling rollout, and
+    ``actions`` forces the actions of one."""
+    def rollout(tape):
+        if actions is not None:
+            return forced_rollout(instances, orders, params, CFG, actions, tape=tape)
+        rng = None if seed is None else np.random.default_rng(seed)
+        return mdl.rollout_states(instances, orders, params, CFG, rng=rng, tape=tape)
+
+    untaped, taped = rollout(None), rollout(Tape())
     assert untaped.actions.tobytes() == taped.actions.tobytes()
     assert untaped.rewards.tobytes() == taped.rewards.tobytes()
     assert untaped.logp_sum.values.tobytes() == taped.logp_sum.values.tobytes()
@@ -278,25 +281,25 @@ def assert_rollout_matches_taped(instances, orders, params, seed=None, **kw):
 
 def test_sampled_rollout_same_untaped_and_taped(params):
     inst = generate(GenConfig.preset("mstop20", seed=34))
-    assert_rollout_matches_taped([inst] * 256, [(0, 1)] * 256, params, mode="sample", seed=9)
+    assert_rollout_matches_taped([inst] * 256, [(0, 1)] * 256, params, seed=9)
 
     # greedy over every vehicle order: rows share an encoding but not a vehicle
     three = generate(GenConfig(n=8, k=3, t_max=2.0, prize_mode="uniform", seed=35))
     perms = list(itertools.permutations(range(3)))
-    assert_rollout_matches_taped([three] * len(perms), perms, params, mode="greedy")
+    assert_rollout_matches_taped([three] * len(perms), perms, params)
 
     # forced actions that split groups: rows that share a prefix part ways
-    sampled = mdl.rollout_states([three] * 32, [(0, 1, 2)] * 32, params, CFG, mode="sample",
+    sampled = mdl.rollout_states([three] * 32, [(0, 1, 2)] * 32, params, CFG,
                                  rng=np.random.default_rng(10))
     assert len({tuple(row) for row in sampled.actions[:, :2]}) < 32
     assert len({tuple(row) for row in sampled.actions}) > 1
-    replayed = assert_rollout_matches_taped([three] * 32, [(0, 1, 2)] * 32, params, mode="replay",
-                                            forced_actions=sampled.actions)
+    replayed = assert_rollout_matches_taped([three] * 32, [(0, 1, 2)] * 32, params,
+                                            actions=sampled.actions)
     assert replayed.actions.tobytes() == sampled.actions.tobytes()
 
     # a perm-aug batch: eight symmetric instances under two vehicle orders
     symmetric = [apply_symmetry(inst, s) for s in range(N_SYMMETRIES)]
-    assert_rollout_matches_taped(symmetric * 2, [(0, 1)] * 8 + [(1, 0)] * 8, params, mode="greedy")
+    assert_rollout_matches_taped(symmetric * 2, [(0, 1)] * 8 + [(1, 0)] * 8, params)
 
 
 def expected_groups(instances, orders, actions):
@@ -327,7 +330,7 @@ def test_untaped_decoder_decodes_each_open_group_once(params, monkeypatch):
 
     monkeypatch.setattr(RouteDecoder, "step", counting_step)
     inst = generate(GenConfig.preset("mstop20", seed=36))
-    roll = mdl.rollout_states([inst] * 64, [(0, 1)] * 64, params, CFG, mode="sample",
+    roll = mdl.rollout_states([inst] * 64, [(0, 1)] * 64, params, CFG,
                               rng=np.random.default_rng(11))
     counts = expected_groups([inst] * 64, [(0, 1)] * 64, roll.actions)
     assert decoded == counts
@@ -338,13 +341,13 @@ def test_untaped_decoder_decodes_each_open_group_once(params, monkeypatch):
     three = generate(GenConfig(n=8, k=3, t_max=2.0, prize_mode="uniform", seed=35))
     perms = list(itertools.permutations(range(3)))
     decoded.clear()
-    roll = mdl.rollout_states([three] * len(perms), perms, params, CFG, mode="greedy")
+    roll = mdl.rollout_states([three] * len(perms), perms, params, CFG)
     counts = expected_groups([three] * len(perms), perms, roll.actions)
     assert decoded == counts and counts[0] == 3
 
     # a taped rollout decodes every row at every step
     decoded.clear()
-    roll = mdl.rollout_states([inst] * 64, [(0, 1)] * 64, params, CFG, mode="sample",
+    roll = mdl.rollout_states([inst] * 64, [(0, 1)] * 64, params, CFG,
                               rng=np.random.default_rng(11), tape=Tape())
     assert decoded == [64] * roll.actions.shape[1]
 
@@ -356,7 +359,7 @@ def test_batch_statistics_see_every_row(params):
     moved = []
     for tape in (None, Tape()):
         p = params.copy()
-        emb = encode_states(state, p, CFG, tape=tape, bn_training=True, update_stats=True)
+        emb = encode_states(state, p, CFG, tape=tape, bn_training=True)
         moved.append(([p[name].tobytes() for name in sorted(p.stats)], emb.rows.values.tobytes()))
     assert moved[0] == moved[1]
     assert moved[0][0] != [params[name].tobytes() for name in sorted(params.stats)]
@@ -401,7 +404,7 @@ def test_taped_encoder_and_decoder_step_op_kinds(params, monkeypatch):
     dec = RouteDecoder(emb, bind, CFG, state.active_vehicle)
     mask = np.where(env.feasible_mask(state), 0.0, NEG_INF)
     head = ["concat", "matmul", "add"]
-    tail = ["add", "matmul", "matmul", "scale", "tanh", "scale", "reshape", "log_softmax"]
+    tail = ["add", "matmul", "matmul", "mul", "tanh", "mul", "reshape", "log_softmax"]
     for hist in ([], ["concat"]):
         issued.clear()
         logp = dec.step(state.fuel, mask)
@@ -430,11 +433,11 @@ def test_greedy_rollout_deterministic(params):
 
 def test_sample_rollout_seed_contract(params):
     inst = generous_instance(n=6, k=2)
-    a = rollout_one(inst, (0, 1), params, CFG, mode="sample", seed=41)
-    b = rollout_one(inst, (0, 1), params, CFG, mode="sample", seed=41)
+    a = rollout_one(inst, (0, 1), params, CFG, seed=41)
+    b = rollout_one(inst, (0, 1), params, CFG, seed=41)
     assert a.routes == b.routes
     different = any(
-        rollout_one(inst, (0, 1), params, CFG, mode="sample", seed=s).routes != a.routes
+        rollout_one(inst, (0, 1), params, CFG, seed=s).routes != a.routes
         for s in range(42, 52))
     assert different
 
@@ -443,14 +446,14 @@ def test_rollout_reward_bounded_by_exact(params):
     for seed in range(25):
         inst = generate(GenConfig(n=7, k=2, t_max=1.6, prize_mode="uniform", seed=200 + seed))
         best = solve_exact(inst).objective
-        for mode, s in (("greedy", None), ("sample", seed)):
-            traj = rollout_one(inst, (0, 1), params, CFG, mode=mode, seed=s)
+        for s in (None, seed):       # greedy, then sampled
+            traj = rollout_one(inst, (0, 1), params, CFG, seed=s)
             assert traj.reward <= best + 1e-9
 
 
 def test_rollout_routes_end_at_depot_and_respect_budget(params):
     inst = tiny_instance(seed=21)
-    traj = rollout_one(inst, (1, 0), params, CFG, mode="sample", seed=3)
+    traj = rollout_one(inst, (1, 0), params, CFG, seed=3)
     assert traj.actions[-1] == 0
     assert traj.actions.count(0) == inst.k
     for k, route in enumerate(traj.routes):
@@ -459,17 +462,34 @@ def test_rollout_routes_end_at_depot_and_respect_budget(params):
 
 def test_trajectory_log_prob_matches_forced_replay(params):
     inst = generous_instance(n=5, k=2)
-    traj = rollout_one(inst, (0, 1), params, CFG, mode="sample", seed=13)
-    batch = mdl.rollout_states([inst], [(0, 1)], params, CFG,
-                               mode="replay", forced_actions=[traj.actions])
+    traj = rollout_one(inst, (0, 1), params, CFG, seed=13)
+    batch = forced_rollout([inst], [(0, 1)], params, CFG, [traj.actions])
     assert batch.trajectory(0).routes == traj.routes
     assert abs(batch.trajectory(0).log_prob - traj.log_prob) <= 1e-9
+
+
+def test_forced_rollout_reproduces_a_sampled_rollout(params):
+    """The teacher-forcing seam of the tests: forcing a sampled rollout's own
+    action record reproduces it byte for byte, taped and untaped."""
+    inst = generate(GenConfig.preset("mstop20", seed=37))
+    instances, orders = [inst] * 16, [(0, 1)] * 8 + [(1, 0)] * 8
+    for new_tape in (lambda: None, Tape):
+        sampled = mdl.rollout_states(instances, orders, params, CFG, rng=np.random.default_rng(12),
+                                     tape=new_tape())
+        assert (sampled.actions < 0).any()      # rows finish their routes at different steps
+        forced = forced_rollout(instances, orders, params, CFG, sampled.actions, tape=new_tape())
+        assert forced.actions.tobytes() == sampled.actions.tobytes()
+        assert forced.rewards.tobytes() == sampled.rewards.tobytes()
+        assert forced.logp_sum.values.tobytes() == sampled.logp_sum.values.tobytes()
+        assert forced.entropy_sum.values.tobytes() == sampled.entropy_sum.values.tobytes()
+    with pytest.raises(ValueError, match="end before"):
+        forced_rollout(instances, orders, params, CFG, sampled.actions[:, :3])
 
 
 def test_batched_rollout_matches_single(params):
     insts = [tiny_instance(seed=s) for s in (31, 32, 33)]
     orders = [(0, 1), (1, 0), (0, 1)]
-    batch = mdl.rollout_states(insts, orders, params, CFG, mode="greedy")
+    batch = mdl.rollout_states(insts, orders, params, CFG)
     for i, (inst, order) in enumerate(zip(insts, orders)):
         traj = batch.trajectory(i)
         single = rollout_one(inst, order, params, CFG)
@@ -481,19 +501,12 @@ def test_gradient_reaches_every_parameter(params):
     insts = [generous_instance(n=6, k=2), tiny_instance(seed=51)]
     tape = Tape()
     rng = np.random.default_rng(0)
-    roll = mdl.rollout_states(insts, [(0, 1), (1, 0)], params, CFG,
-                              mode="sample", rng=rng, tape=tape, bn_training=True)
-    from mstoplab import autodiff as ad
-    loss = ad.scale(ad.tsum(ad.add(roll.logp_sum, roll.entropy_sum)), -1.0)
+    # batch-norm training moves the running statistics: keep the module's copy
+    roll = mdl.rollout_states(insts, [(0, 1), (1, 0)], params.copy(), CFG,
+                              rng=rng, tape=tape, bn_training=True)
+    loss = ad.mul(ad.tsum(ad.add(roll.logp_sum, roll.entropy_sum)), -1.0)
     grads = roll.binding.gradients(tape.backward(loss))
     assert set(grads) == set(params.trainable())
     dead = [name for name, g in grads.items() if not np.any(g != 0.0)]
     assert not dead, f"parameters with zero gradient: {dead}"
 
-
-def test_rollout_mode_validation(params):
-    inst = tiny_instance(seed=1)
-    with pytest.raises(ValueError):
-        mdl.rollout_states([inst], [(0, 1)], params, CFG, mode="beam")
-    with pytest.raises(ValueError):
-        mdl.rollout_states([inst], [(0, 1)], params, CFG, mode="sample")  # no rng

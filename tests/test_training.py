@@ -13,7 +13,7 @@ from mstoplab.training import (TrainConfig, TrainingError, baseline_batch_mean,
                                metrics_rows, reinforce_step, surrogate_loss, train)
 from mstoplab.autodiff import Tape
 
-from conftest import fd_gradient, rel_err
+from conftest import fd_gradient, forced_rollout, rel_err
 
 CFG = DdtmConfig(d=16, heads=2, ff_dim=32, encoder_layers=1, decoder_layers=1)
 GEN = GenConfig(n=4, k=2, t_max=1.5, seed=0)
@@ -77,7 +77,7 @@ def test_greedy_baseline_matches_greedy_rollout_of_same_params():
     instances = [generate(dataclasses.replace(GEN, seed=5 + i)) for i in range(4)]
     orders = [(0, 1), (1, 0), (0, 1), (1, 0)]
     b = baseline_greedy_rollout(instances, orders, params, CFG)
-    greedy = mdl.rollout_states(instances, orders, params, CFG, mode="greedy").rewards
+    greedy = mdl.rollout_states(instances, orders, params, CFG).rewards
     assert np.array_equal(b, greedy)  # advantage would be exactly zero
 
 
@@ -152,7 +152,7 @@ def test_zero_advantage_gradient_is_alpha_times_entropy_gradient():
     grads = {}
     for alpha in (0.5, 1.0):
         tape = Tape()
-        roll = mdl.rollout_states(instances, orders, params, CFG, mode="sample",
+        roll = mdl.rollout_states(instances, orders, params, CFG,
                                   rng=np.random.default_rng(4), tape=tape, bn_training=True)
         advantages = roll.rewards - np.repeat(baseline_instance_aug(roll.rewards.reshape(2, 8)), 8)
         assert not advantages.any()
@@ -168,16 +168,13 @@ def test_entropy_term_gradient_matches_finite_differences():
     cfg, params, _ = fresh_setup(alpha=1.0)
     instances = [generate(dataclasses.replace(GEN, seed=600 + i)) for i in range(2)]
     orders = [(0, 1), (1, 0)]
-    seed_roll = mdl.rollout_states(instances, orders, params, CFG,
-                                   mode="sample", rng=np.random.default_rng(0))
+    seed_roll = mdl.rollout_states(instances, orders, params, CFG, rng=np.random.default_rng(0))
     actions = seed_roll.actions
     advantages = np.zeros(len(instances))
 
     def loss_value():
         tape = Tape()
-        roll = mdl.rollout_states(instances, orders, params, CFG, mode="replay",
-                                  forced_actions=actions, tape=tape,
-                                  bn_training=True, update_stats=False)
+        roll = forced_rollout(instances, orders, params, CFG, actions, tape=tape, bn_training=True)
         return tape, roll, surrogate_loss(roll, advantages, alpha=1.0)
 
     tape, roll, loss = loss_value()
@@ -284,12 +281,10 @@ def test_entropy_pressure_increases_probe_entropy():
 
     probe_instances = [generate(dataclasses.replace(GEN, seed=9100 + i)) for i in range(4)]
     probe_orders = [(0, 1)] * 4
-    probe_actions = mdl.rollout_states(probe_instances, probe_orders, params, CFG,
-                                       mode="greedy").actions
+    probe_actions = mdl.rollout_states(probe_instances, probe_orders, params, CFG).actions
 
     def probe_rollout(tape=None):
-        return mdl.rollout_states(probe_instances, probe_orders, params, CFG,
-                                  mode="replay", forced_actions=probe_actions, tape=tape)
+        return forced_rollout(probe_instances, probe_orders, params, CFG, probe_actions, tape=tape)
 
     from mstoplab.optim import adam_step
     ent_adam = AdamState(lr=1e-4)
