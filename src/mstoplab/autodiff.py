@@ -37,7 +37,9 @@ class ShapeMismatchError(AutodiffError):
 
 
 class NonFiniteError(AutodiffError):
-    pass
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row          # first batch row holding the values, when known
 
 
 class DetachedNodeError(AutodiffError):
@@ -58,10 +60,6 @@ class Tensor:
     def shape(self):
         return self.values.shape
 
-    @property
-    def ndim(self):
-        return self.values.ndim
-
     def __repr__(self):
         tag = "const" if self.node_id is None else f"node {self.node_id}"
         return f"Tensor(shape={self.values.shape}, {tag})"
@@ -70,10 +68,6 @@ class Tensor:
 def constant(values) -> Tensor:
     """Wrap an array-like as a constant tensor (no gradient)."""
     return Tensor(np.asarray(values, dtype=np.float64))
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else constant(x)
 
 
 class Gradients:
@@ -94,13 +88,10 @@ class Gradients:
 
 class Tape:
     """Ordered operation record; single-owner, not shared across rollouts.
+    It checks no values: a rollout checks its action probabilities and
+    training its loss."""
 
-    ``check_finite=True`` validates inputs and outputs of every recorded
-    operation (useful in tests; off by default for speed).
-    """
-
-    def __init__(self, check_finite=False):
-        self.check_finite = check_finite
+    def __init__(self):
         self._records = []  # (out_id, input_ids, backward_fn)
         self._next_id = 0
 
@@ -111,10 +102,7 @@ class Tape:
 
     def leaf(self, values) -> Tensor:
         """Register a differentiable leaf (e.g. a trainable parameter)."""
-        arr = np.asarray(values, dtype=np.float64)
-        if self.check_finite and not np.all(np.isfinite(arr)):
-            raise NonFiniteError("leaf holds non-finite values")
-        return Tensor(arr, tape=self, node_id=self._new_id())
+        return Tensor(np.asarray(values, dtype=np.float64), tape=self, node_id=self._new_id())
 
     def backward(self, loss: Tensor) -> Gradients:
         """Reverse pass from a scalar loss; returns gradients by node."""
@@ -245,18 +233,6 @@ def _op_concat(vals, attrs, needs):
     return out, backward
 
 
-def _masked_logits(kind, x, attrs):
-    mask = attrs.get("mask")
-    if mask is None:
-        return x
-    mask = np.asarray(mask, dtype=np.float64)
-    try:
-        z = x + mask
-    except ValueError:
-        raise ShapeMismatchError(kind, f"mask shape {mask.shape} not broadcastable to {x.shape}")
-    return z
-
-
 def _softmax_raw(z):
     """Softmax over the last axis, computed in place in ``z``."""
     m = np.max(z, axis=-1, keepdims=True)
@@ -340,7 +316,11 @@ def _op_attention(vals, attrs, needs):
 
 def _op_log_softmax(vals, attrs, needs):
     (x,) = vals
-    z = _masked_logits("log_softmax", x, attrs)
+    mask = np.asarray(attrs["mask"], dtype=np.float64)
+    try:
+        z = x + mask
+    except ValueError:
+        raise ShapeMismatchError("log_softmax", f"mask shape {mask.shape} not broadcastable to {x.shape}")
     m = np.max(z, axis=-1, keepdims=True)
     if np.isneginf(m).any():
         raise NonFiniteError("log_softmax: a row is fully masked to -inf")
@@ -471,34 +451,28 @@ OP_KINDS = {
 def forward(kind: str, inputs, attrs=None) -> Tensor:
     """Apply an operation kind to tensors, recording it when inputs are taped.
 
-    Inputs that are plain arrays are treated as constants. All taped inputs
-    must share one tape; the output lives on that tape (or is a constant when
-    no input is taped).
+    Inputs that are plain arrays are constants. All taped inputs must share
+    one tape; the output lives on that tape and only its taped inputs get
+    gradients. With no taped input the output is a constant. Values are not
+    checked for finiteness.
     """
     if kind not in OP_KINDS:
         raise AutodiffError(f"unknown operation kind '{kind}'")
-    attrs = attrs or {}
-    tensors = [_as_tensor(x) for x in inputs]
-    tape = None
-    for t in tensors:
-        if t.tape is not None:
+    tape, vals, ids = None, [], []
+    for t in inputs:
+        if not isinstance(t, Tensor):
+            t = constant(t)
+        elif t.tape is not None:
             if tape is not None and tape is not t.tape:
                 raise AutodiffError(f"{kind}: inputs live on different tapes")
             tape = t.tape
-    vals = [t.values for t in tensors]
-    if tape is not None and tape.check_finite:
-        for i, v in enumerate(vals):
-            if not np.all(np.isfinite(v)):
-                raise NonFiniteError(f"{kind}: input {i} holds non-finite values")
-    needs = tuple(t.tape is tape and t.node_id is not None and tape is not None for t in tensors)
-    value, backward_fn = OP_KINDS[kind](vals, attrs, needs)
+        vals.append(t.values)
+        ids.append(t.node_id)
+    value, backward_fn = OP_KINDS[kind](vals, attrs or {}, tuple(i is not None for i in ids))
     if tape is None:
         return Tensor(value)
-    if tape.check_finite and not np.all(np.isfinite(value)):
-        raise NonFiniteError(f"{kind}: output holds non-finite values")
     out = Tensor(value, tape=tape, node_id=tape._new_id())
-    input_ids = tuple(t.node_id if t.tape is tape else None for t in tensors)
-    tape._records.append((out.node_id, input_ids, backward_fn))
+    tape._records.append((out.node_id, tuple(ids), backward_fn))
     return out
 
 
@@ -524,7 +498,7 @@ def attention(x, k, v, wq, wout, heads, mask=None):
     return forward("attention", [x, k, v, wq, wout], {"heads": heads, "mask": mask})
 
 
-def log_softmax(x, mask=None):
+def log_softmax(x, mask):
     return forward("log_softmax", [x], {"mask": mask})
 
 

@@ -13,7 +13,8 @@ feasibility rule once: ``feasible_mask`` applies it to every customer and
 ``step`` to the chosen ones before it applies the one transition. Rollouts,
 the heuristic and ``replay`` all drive these two. Both take an optional
 boolean ``rows`` selector: rows outside it may only take the depot and are
-left unchanged by ``step``.
+left unchanged by ``step``. Sampled rollouts and the heuristic draw their
+actions with the one row sampler, ``sample_rows``.
 
 Action indices match node references: 0 is the depot, 1..n the customers.
 All feasibility comparisons use an absolute epsilon of 1e-9 (float64
@@ -247,6 +248,17 @@ def step(state: State, actions, rows=None) -> State:
         nxt.fuel[h] = nxt.fuels[h, nv]
         nxt.legs[h] = batch.take(Instance.legs, h, nxt.at[h, nv])
     return nxt
+
+
+def sample_rows(probs: np.ndarray, group: np.ndarray, rng) -> np.ndarray:
+    """One inverse-CDF draw over the columns of ``probs`` for every row ``i``,
+    from the distribution in row ``group[i]``; the generator gives one number
+    per row. A draw past the rounded total takes the last positive entry."""
+    cum = np.cumsum(probs, axis=1)
+    u = rng.random(group.shape[0])
+    idx = (u[:, None] > cum[group]).sum(axis=1)
+    last_ok = np.where(probs > 0, np.arange(probs.shape[1])[None, :], -1).max(axis=1)
+    return np.minimum(idx, last_ok[group])
 
 
 def replay(instances, orders, actions):

@@ -306,7 +306,7 @@ class RouteDecoder:
         self.t_dec = 0
         self.hist = [[] for _ in range(cfg.decoder_layers)]
         self.shared = bind.tape is None
-        if self.shared and len(emb.rows.values) < len(vehicle_ids):
+        if len(emb.rows.values) < len(vehicle_ids):
             keys, self.lead, self.group = np.unique(emb.source * emb.k + vehicle_ids,
                                                     return_index=True, return_inverse=True)
             self.src, vehicle_ids = np.divmod(keys, emb.k)
@@ -401,16 +401,6 @@ class BatchRollout:
                                      self.logp_sum.values[i])
 
 
-def _sample_rows(probs: np.ndarray, group: np.ndarray, rng) -> np.ndarray:
-    """One draw for every state row from the distribution of its decoded row
-    ``group[i]``; the generator gives one number per state row."""
-    cum = np.cumsum(probs, axis=1)
-    u = rng.random(group.shape[0])
-    idx = (u[:, None] > cum[group]).sum(axis=1)
-    last_ok = np.where(probs > 0, np.arange(probs.shape[1])[None, :], -1).max(axis=1)
-    return np.minimum(idx, last_ok[group])
-
-
 def _entropy(logp: Tensor) -> Tensor:
     return ad.mul(ad.tsum(ad.mul(ad.exp(logp), logp), axis=-1), -1.0)
 
@@ -452,12 +442,15 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
             logp = dec.step(state.fuel[lead], mask_add)
             probs = np.exp(logp.values)
             if not np.isfinite(probs).all():
-                raise ad.NonFiniteError("decode produced non-finite action probabilities")
+                bad = ~np.isfinite(probs).all(axis=1)
+                row = int(np.flatnonzero((dec.group >= 0) & bad[dec.group])[0])
+                raise ad.NonFiniteError(f"non-finite action probabilities at vehicle slot {slot}, "
+                                        f"decode step {dec.t_dec}, state row {row}", row=row)
             # rows that left the decoder (group -1) are set to the depot below
             if rng is None:
                 actions = probs.argmax(axis=1)[dec.group]
             else:
-                actions = _sample_rows(probs, dec.group, rng)
+                actions = env.sample_rows(probs, dec.group, rng)
             actions = np.where(open_rows, actions, 0)
             if dec.shared:
                 # a finished row adds what its point mass at the depot would:

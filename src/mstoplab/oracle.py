@@ -263,7 +263,8 @@ def tsili_solve(inst: Instance, params: TsiliParams = TsiliParams(), seed: int =
     Each rollout builds routes vehicle by vehicle (instance order). At every
     step the vehicle looks at the feasible customers (visit plus return to
     depot within fuel), ranks them by desirability (prize / distance)^exponent,
-    and samples among the top ``candidates`` proportionally to desirability.
+    and samples among the top ``candidates`` proportionally to desirability,
+    with the row sampler of the policy's rollouts (``env.sample_rows``).
     Deterministic for a given seed.
     """
     params.validate()
@@ -281,17 +282,15 @@ def tsili_solve(inst: Instance, params: TsiliParams = TsiliParams(), seed: int =
             alive = feas.any(axis=1)
             actions = np.zeros(s, dtype=np.intp)   # no feasible customer: go home
             if alive.any():
-                desir = (prizes[None, :] / np.maximum(state.legs[:, 1:], _TINY)) ** params.exponent
-                desir = np.where(feas, desir, 0.0)
+                # only feasible customers are raised to the power: the visited
+                # customer a vehicle stands on is at distance zero and would overflow
+                ratio = prizes[None, :] / np.maximum(state.legs[:, 1:], _TINY)
+                desir = np.where(feas, ratio, 0.0) ** params.exponent
                 order = np.argsort(-desir, axis=1, kind="stable")[:, :c]
                 weights = np.take_along_axis(desir, order, axis=1)
                 totals = weights.sum(axis=1, keepdims=True)
                 probs = np.divide(weights, totals, out=np.zeros_like(weights), where=totals > 0)
-                cum = np.cumsum(probs, axis=1)
-                u = rng.random(s)
-                pick_pos = (u[:, None] > cum).sum(axis=1)
-                last_ok = np.maximum((weights > 0).sum(axis=1) - 1, 0)
-                pick_pos = np.minimum(pick_pos, last_ok)
+                pick_pos = env.sample_rows(probs, np.arange(s), rng)
                 chosen = np.take_along_axis(order, pick_pos[:, None], axis=1)[:, 0]
                 actions = np.where(alive, chosen + 1, 0)
             state = env.step(state, actions, open_rows)

@@ -149,7 +149,8 @@ def reinforce_step(raw_instances, orders, params: DdtmParameters, adam: AdamStat
         roll = mdl.rollout_states(batch_instances, batch_orders, params, model_cfg,
                                   rng=rollout_rng, tape=tape, bn_training=True)
     except ad.NonFiniteError as err:
-        raise TrainingError(f"non-finite values during rollout: {err}") from err
+        where = "" if err.row is None else f" (raw instance {err.row // cfg.k_aug})"
+        raise TrainingError(f"non-finite values during rollout: {err}{where}") from err
     rewards = roll.rewards
     if cfg.baseline == "instance-aug":
         per_instance = baseline_instance_aug(rewards.reshape(len(raw_instances), cfg.k_aug))

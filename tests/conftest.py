@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mstoplab import autodiff as ad
-from mstoplab import model
+from mstoplab import env
 from mstoplab.instances import GenConfig, Instance, generate
 from mstoplab.model import rollout_states
 
@@ -115,7 +115,7 @@ def forced_rollout(instances, orders, params, cfg, actions, **kw):
             raise ValueError("forced actions end before the rollout does")
         return column
 
-    with mock.patch.object(model, "_sample_rows", forced):
+    with mock.patch.object(env, "sample_rows", forced):
         return rollout_states(instances, orders, params, cfg, rng=np.random.default_rng(0), **kw)
 
 

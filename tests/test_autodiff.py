@@ -85,13 +85,6 @@ def test_shape_mismatch_names_kind():
         ad.attention(x, kv, kv, w, w, heads=2, mask=np.zeros((2, 1, 1, 4)))
 
 
-def test_nonfinite_input_rejected_when_checking():
-    tape = ad.Tape(check_finite=True)
-    leaf = tape.leaf(np.ones(3))
-    with pytest.raises(ad.NonFiniteError):
-        ad.add(leaf, ad.constant([1.0, np.nan, 0.0]))
-
-
 # --- backward contract examples ----------------------------------------------
 
 def test_backward_square_at_three():
@@ -289,7 +282,7 @@ def test_tape_replay_bit_identical(rng):
         tape = ad.Tape()
         a = tape.leaf(x)
         b = tape.leaf(w)
-        out = ad.log_softmax(ad.matmul(ad.tanh(ad.matmul(a, b)), b, transpose_b=True))
+        out = ad.log_softmax(ad.matmul(ad.tanh(ad.matmul(a, b)), b, transpose_b=True), np.zeros(8))
         loss = ad.tsum(out)
         g = tape.backward(loss)
         return out.values.tobytes(), g.of(a).tobytes(), g.of(b).tobytes()

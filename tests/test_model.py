@@ -423,6 +423,22 @@ def test_decode_point_mass_when_everything_masked(params):
 
 # --- rollouts -------------------------------------------------------------------------
 
+def test_non_finite_probabilities_name_slot_step_and_row(params):
+    """Untaped and with eval-mode batch norm, every op keeps the rows of a
+    batch apart, so a NaN prize spoils only its own instance's rows: the
+    error names the first state row among them (row 3, although the first
+    spoiled decoded row is group 2, led by row 4), with the vehicle slot and
+    decode step."""
+    good, spoiled = tiny_instance(seed=3), tiny_instance(seed=4)
+    customers = tuple((x, y, np.nan if j == 2 else p) for j, (x, y, p) in enumerate(spoiled.customers))
+    spoiled = dataclasses.replace(spoiled, customers=customers)
+    instances = [good, good, good, spoiled, spoiled]
+    orders = [(0, 1), (1, 0), (0, 1), (1, 0), (0, 1)]
+    with pytest.raises(ad.NonFiniteError, match="vehicle slot 0, decode step 0, state row 3") as err:
+        mdl.rollout_states(instances, orders, params, CFG)
+    assert err.value.row == 3
+
+
 def test_greedy_rollout_deterministic(params):
     inst = tiny_instance(seed=11)
     a = rollout_one(inst, (0, 1), params, CFG)

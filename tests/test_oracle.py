@@ -162,6 +162,15 @@ def test_tsili_solutions_verify_and_bounded_by_exact():
         assert sol.objective <= solve_exact(inst).objective + 1e-9
 
 
+def test_tsili_steep_exponent_does_not_overflow():
+    """The visited customer a vehicle stands on is at distance zero, so its
+    desirability must not be raised to the power: at exponent 30 that would
+    overflow, and pytest turns the RuntimeWarning into an error."""
+    inst = generate(GenConfig(n=8, k=2, t_max=1.5, prize_mode="uniform", seed=61))
+    sol = tsili_solve(inst, TsiliParams(samples=32, exponent=30.0), seed=0)
+    assert verify(inst, sol).ok and sol.objective > 0
+
+
 def test_tsili_params_validation():
     with pytest.raises(ValueError):
         TsiliParams(samples=0).validate()

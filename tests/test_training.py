@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mstoplab import autodiff as ad
 from mstoplab import model as mdl
 from mstoplab import training
+from mstoplab.inference import STRATEGIES, InferConfig, infer
 from mstoplab.instances import GenConfig, Instance, augment, generate
 from mstoplab.model import DdtmConfig, DdtmParameters
 from mstoplab.optim import AdamState
@@ -195,8 +197,39 @@ def test_entropy_term_gradient_matches_finite_differences():
 def test_non_finite_loss_aborts_with_diagnostics():
     cfg, params, adam = fresh_setup()
     params.arrays["final_wq"][0, 0] = np.nan
-    with pytest.raises(TrainingError, match="non-finite"):
+    with pytest.raises(TrainingError, match="non-finite") as err:
         run_step(cfg, params, adam)
+    assert "vehicle slot 0, decode step 0, state row 0" in str(err.value)
+    assert "(raw instance 0)" in str(err.value)
+
+
+def test_non_finite_rollout_row_maps_to_its_raw_instance(monkeypatch):
+    """Under instance-aug the batch holds the symmetric copies of each raw
+    instance in turn, so state row 17 belongs to raw instance 17 // 8."""
+    def failing(*args, **kwargs):
+        raise ad.NonFiniteError("non-finite action probabilities", row=17)
+
+    monkeypatch.setattr(mdl, "rollout_states", failing)
+    cfg, params, adam = fresh_setup()
+    with pytest.raises(TrainingError, match=r"\(raw instance 2\)"):
+        run_step(cfg, params, adam)
+
+
+def test_every_op_kind_is_issued_by_the_package(monkeypatch):
+    """A taped training step and an untaped inference under every strategy
+    issue every op kind of the tape, so no kind exists for tests alone."""
+    issued, real = set(), ad.forward
+
+    def recording(kind, inputs, attrs=None):
+        issued.add(kind)
+        return real(kind, inputs, attrs)
+
+    monkeypatch.setattr(ad, "forward", recording)
+    cfg, params, adam = fresh_setup()
+    run_step(cfg, params, adam)
+    for strategy in STRATEGIES:
+        infer(generate(GEN), params, CFG, InferConfig(strategy=strategy, sample_width=8))
+    assert issued == set(ad.OP_KINDS)
 
 
 # --- train loop -----------------------------------------------------------------------
