@@ -425,7 +425,15 @@ def _op_take(vals, attrs, needs):
 
     def backward(g):
         gx = np.zeros_like(x)
-        np.add.at(gx, index, g)
+        # a slice never repeats a position, so the integer arrays decide;
+        # ``np.add.at`` is needed only where they name one position twice
+        axes = [i for i, ix in enumerate(index) if not isinstance(ix, slice)]
+        flat = np.sort(np.ravel_multi_index(np.broadcast_arrays(*(index[i] for i in axes)),
+                                            [x.shape[i] for i in axes], mode="wrap"), axis=None)
+        if (flat[1:] != flat[:-1]).all():
+            gx[index] += g
+        else:
+            np.add.at(gx, index, g)
         return (gx,)
 
     return out, backward

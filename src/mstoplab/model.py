@@ -7,13 +7,16 @@ and averages the unmasked rows into a graph embedding. It is re-run at the
 start of every partial route, because finishing a route changes the graph a
 vehicle sees: visited nodes are masked out and the next vehicle starts
 somewhere else. Without a tape and with eval-mode batch-norm every encoder op
-acts on each row alone, so rows with equal encoder inputs share one encoding:
-the rows of a sampling or permutation rollout are encoded once in the first
-route. Every decoder op acts on each row alone too, so an untaped rollout
-decodes one row per distinct open partial route (encoded row, active vehicle
-and actions so far) and drops rows whose route has ended; each batch row
-still draws its own action. A taped (training) call encodes and decodes
-every row.
+acts on each row alone and nothing reads a masked row's inputs, so rows whose
+unmasked inputs are equal share one encoding: the rows of a sampling or
+permutation rollout are encoded once in the first route, and rows whose
+earlier routes covered the same customers share one in later routes. Such
+calls encode at most 64 distinct rows at a time, so their temporaries stay
+the size of a training step's. Every decoder op acts on each row alone too,
+so an untaped rollout decodes one row per distinct open partial route
+(encoded row, active vehicle and actions so far) and drops rows whose route
+has ended; each batch row still draws its own action. A taped (training)
+call encodes and decodes every row.
 
 The decoder builds one action distribution per step:
 
@@ -54,6 +57,7 @@ from .autodiff import NEG_INF, Tensor
 from .instances import Instance
 
 LOGIT_CLAMP = 10.0      # final scores are LOGIT_CLAMP * tanh(.) before the mask
+_ENCODE_BLOCK = 64      # most rows per untaped encoder call: one training batch's worth
 
 
 @dataclass(frozen=True)
@@ -243,11 +247,21 @@ def encode_states(state: env.State, params: DdtmParameters, cfg: DdtmConfig, *,
     start of every vehicle slot.
 
     Untaped and with eval-mode batch-norm, every encoder op acts on each row
-    alone, so rows with equal inputs get equal encodings: each distinct row
-    is encoded once, and ``source`` maps every state row to its encoded row
-    (the rows of a sampling or permutation rollout share one state in slot
-    0). A taped call or one with batch statistics encodes every row, and
-    ``source`` is the identity.
+    alone, so rows with equal inputs get equal encodings. What a row sees is
+    less than its inputs: no unmasked row attends to a masked one (their
+    pair weight is exactly zero), the graph mean skips masked rows, and the
+    decoder masks visited customers and reads only the active vehicle's row.
+    So the rows are keyed on their inputs with those of visited customers
+    and parked vehicles zeroed, each distinct key is encoded once, in blocks
+    of at most ``_ENCODE_BLOCK`` rows, and ``source`` maps every state row to
+    its encoded row. The rows of a sampling or permutation rollout share one
+    state in slot 0; later, rows whose routes covered the same customers in
+    any order share one. A row that shares another's encoding gets that
+    row's values in its masked rows, which nothing reads.
+
+    A taped call or one with batch statistics encodes every row in one call,
+    since the tape and the batch statistics couple the rows, and ``source``
+    is the identity.
     """
     if state.terminal.any():
         raise env.EnvError("cannot encode a terminal state")
@@ -260,18 +274,29 @@ def encode_states(state: env.State, params: DdtmParameters, cfg: DdtmConfig, *,
     masked = np.concatenate([np.zeros((b, 1), dtype=bool), state.visited, state.done], axis=1)
     bind = _Binding(params, tape) if not isinstance(params, _Binding) else params
 
+    def encode(rows):
+        return _encode(depot[rows], cust[rows], veh[rows], masked[rows], bind, cfg, bn_training)
+
     encoded, source = slice(None), np.arange(b)
-    if bind.tape is None and not bn_training:
-        key = np.concatenate([depot.reshape(b, -1), cust.reshape(b, -1), veh.reshape(b, -1), masked],
-                             axis=1)
-        first = {}
-        src = np.fromiter((first.setdefault(row.tobytes(), i) for i, row in enumerate(key)),
-                          np.intp, b)
-        if len(first) < b:
-            encoded = np.fromiter(first.values(), np.intp, len(first))
-            source = np.searchsorted(encoded, src)
-    rows, graph = _encode(depot[encoded], cust[encoded], veh[encoded], masked[encoded], bind, cfg,
-                          bn_training)
+    if bind.tape is not None or bn_training:
+        rows, graph = encode(encoded)
+        return Embeddings(rows=rows, graph=graph, source=source, n=n, k=k)
+
+    # the key zeroes the inputs of masked rows (visited customers, parked
+    # vehicles), which no unmasked row and no decoder step reads
+    visible = np.where(masked[:, 1:, None], 0.0, np.concatenate([cust, veh], axis=1))
+    key = np.concatenate([depot.reshape(b, -1), visible.reshape(b, -1), masked], axis=1)
+    first = {}
+    src = np.fromiter((first.setdefault(row.tobytes(), i) for i, row in enumerate(key)), np.intp, b)
+    if len(first) < b:
+        encoded = np.fromiter(first.values(), np.intp, len(first))
+        source = np.searchsorted(encoded, src)
+    if len(first) <= _ENCODE_BLOCK:
+        rows, graph = encode(encoded)
+    else:
+        index = np.arange(b)[encoded]
+        blocks = [encode(i) for i in np.split(index, range(_ENCODE_BLOCK, len(index), _ENCODE_BLOCK))]
+        rows, graph = (ad.concat(list(parts), axis=0) for parts in zip(*blocks))
     return Embeddings(rows=rows, graph=graph, source=source, n=n, k=k)
 
 

@@ -283,12 +283,22 @@ def tsili_solve(inst: Instance, params: TsiliParams = TsiliParams(), seed: int =
             actions = np.zeros(s, dtype=np.intp)   # no feasible customer: go home
             if alive.any():
                 # only feasible customers are raised to the power: the visited
-                # customer a vehicle stands on is at distance zero and would overflow
-                ratio = prizes[None, :] / np.maximum(state.legs[:, 1:], _TINY)
-                desir = np.where(feas, ratio, 0.0) ** params.exponent
+                # customer a vehicle stands on is at distance zero
+                ratio = np.where(feas, prizes[None, :] / np.maximum(state.legs[:, 1:], _TINY), 0.0)
+                with np.errstate(over="ignore"):
+                    desir = ratio ** params.exponent
                 order = np.argsort(-desir, axis=1, kind="stable")[:, :c]
                 weights = np.take_along_axis(desir, order, axis=1)
                 totals = weights.sum(axis=1, keepdims=True)
+                huge = np.flatnonzero(~np.isfinite(totals[:, 0]))
+                if huge.size:
+                    # a feasible customer (almost) under the vehicle overflowed the
+                    # power: these rows raise ratios relative to their largest instead
+                    top = ratio[huge] / ratio[huge].max(axis=1, keepdims=True)
+                    desir[huge] = top ** params.exponent
+                    order[huge] = np.argsort(-desir[huge], axis=1, kind="stable")[:, :c]
+                    weights[huge] = np.take_along_axis(desir[huge], order[huge], axis=1)
+                    totals[huge] = weights[huge].sum(axis=1, keepdims=True)
                 probs = np.divide(weights, totals, out=np.zeros_like(weights), where=totals > 0)
                 pick_pos = env.sample_rows(probs, np.arange(s), rng)
                 chosen = np.take_along_axis(order, pick_pos[:, None], axis=1)[:, 0]

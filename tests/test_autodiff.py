@@ -194,6 +194,29 @@ def test_gradients_all_kinds(rng):
         check_op_gradients(builder, shapes, rng, probes=100, **kw)
 
 
+def test_take_backward_matches_add_at_bytes(rng):
+    """``take``'s backward adds in place where no position repeats and with
+    ``np.add.at`` where one does; both give ``np.add.at``'s bytes, signed
+    zeros included."""
+    cases = [
+        ((64, 23, 32), (np.arange(64), slice(0, 21))),                       # unique
+        ((3, 4, 5), (np.arange(3)[:, None], np.array([[1], [0], [3]]))),
+        ((4, 5), (np.arange(4), np.array([1, 0, 4, 4]))),
+        ((2, 5, 3), (slice(None), slice(1, 4))),
+        ((2, 5, 3), (slice(None), np.array([0, 2, 2, 1]))),                  # repeated
+        ((4, 5), (np.array([[0], [0], [3]]), np.array([[1], [1], [-1]]))),
+        ((5, 2), (np.array([4, -1, 0]),)),
+    ]
+    for shape, index in cases:
+        x = rng.standard_normal(shape)
+        out, backward = ad.OP_KINDS["take"]([x], {"index": index}, [True])
+        g = rng.standard_normal(out.shape)
+        g.reshape(-1)[::3] = -0.0
+        expected = np.zeros_like(x)
+        np.add.at(expected, index, g)
+        assert backward(g)[0].tobytes() == expected.tobytes()
+
+
 def test_attention_matches_the_unfused_composition(rng):
     """The fused kind against the numpy chain it replaced: equal forward
     values, and gradients of all five inputs within 1e-12 relative."""

@@ -166,21 +166,28 @@ def test_encode_rejects_terminal_state(params):
 # every row, so it is the reference the shortcut must match bit for bit.
 
 def assert_encoding_matches_taped(state, params):
+    """The shared encoding against the taped one, which encodes every row:
+    the graph embedding and every unmasked row bit for bit. A masked row is
+    read by no unmasked row and no decoder step, so rows that differ only
+    there share the encoding of one of them."""
     fast = encode_states(state, params, CFG)
     slow = encode_states(state, params, CFG, tape=Tape())
     np.testing.assert_array_equal(slow.source, np.arange(len(state)))
     assert len(fast.source) == len(state) and len(fast.rows.values) == len(np.unique(fast.source))
-    assert fast.rows.values[fast.source].tobytes() == slow.rows.values.tobytes()
+    flags = masked_flags(state)
+    assert fast.rows.values[fast.source][~flags].tobytes() == slow.rows.values[~flags].tobytes()
     assert fast.graph.values[fast.source].tobytes() == slow.graph.values.tobytes()
     # every state row sharing an encoded row has its flags
-    flags = masked_flags(state)
     first = np.unique(fast.source, return_index=True)[1]
     np.testing.assert_array_equal(flags[first][fast.source], flags)
 
 
 def row_keys(state):
-    """Per row, the bytes of what its encoder inputs are built from."""
-    parts = (state.batch.rows(Instance.node_xy), state.visited, state.at, state.fuels)
+    """Per row, the bytes of what its unmasked encoder rows are built from:
+    the instance, the visited customers, and where the vehicles not parked
+    at the depot are and their fuel."""
+    parts = (state.batch.rows(Instance.node_xy), state.visited, state.at,
+             np.where(state.done, 0.0, state.fuels))
     return [b"".join(np.ascontiguousarray(p[i]).tobytes() for p in parts) for i in range(len(state))]
 
 
@@ -201,16 +208,22 @@ def mid_rollout_states(instances, params, seed):
     return states
 
 
+def counting(monkeypatch, owner, name, size):
+    """Patch ``owner.name`` to record ``size(*args)`` of every call in a list."""
+    calls, real = [], getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(size(*args))
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
 def test_shared_encoding_matches_taped_mid_rollout(params, monkeypatch):
     inst = generate(GenConfig.preset("mstop20", seed=31))
     states = mid_rollout_states([inst] * 64, params, seed=4)
-    encoded, real = [], mdl._encode
-
-    def counting_encode(depot, *rest):
-        encoded.append(len(depot))
-        return real(depot, *rest)
-
-    monkeypatch.setattr(mdl, "_encode", counting_encode)
+    encoded = counting(monkeypatch, mdl, "_encode", lambda depot, *rest: len(depot))
     for state in states:
         encoded.clear()
         encode_states(state, params, CFG)
@@ -247,17 +260,60 @@ def test_rows_differing_only_in_fuel_are_encoded_apart(params):
 
 
 def test_rows_differing_only_in_masked_flags_are_encoded_apart(params):
-    """A vehicle that starts on the depot and parks there at once keeps its
-    coordinates and fuel; only its masked flag changes."""
+    """A vehicle with no fuel that starts on a depot at the origin and parks
+    there at once keeps its inputs, all zero like the key's masked inputs;
+    only its masked flag changes."""
     inst = generous_instance(n=4, k=2)
-    vehicles = ((*inst.depot, 10.0),) + inst.vehicles[1:]
-    at_depot = dataclasses.replace(inst, vehicles=vehicles)
+    at_depot = dataclasses.replace(inst, depot=(0.0, 0.0),
+                                   vehicles=((0.0, 0.0, 0.0),) + inst.vehicles[1:])
     state = env.reset([at_depot] * 3, [(0, 1)] * 3)
     parked = env.step(state, [0, 0, 0], [False, True, False])
     assert parked.done[1, 0] and not parked.done[0, 0]
     np.testing.assert_array_equal(parked.positions[0], parked.positions[1])
     np.testing.assert_array_equal(parked.fuels[0], parked.fuels[1])
+    assert len(encode_states(parked, params, CFG).rows.values) == 2
     assert_encoding_matches_taped(parked, params)
+
+
+def test_rows_that_visited_the_same_customers_share_one_encoding(params, monkeypatch):
+    """Routes over the same customers in a different order leave the next
+    vehicle equal visible inputs: the visited customers and the parked
+    vehicle are masked, its fuel included. The next slot encodes and decodes
+    both rows as one."""
+    inst = generous_instance(n=5, k=2)
+    actions = np.array([[1, 2, 0, 3, 4, 0], [2, 1, 0, 3, 4, 0]])
+    state = env.reset([inst] * 2, [(0, 1)] * 2)
+    for col in actions.T[:3]:
+        state = env.step(state, col)
+    assert state.fuels[0, 0] != state.fuels[1, 0]
+    assert distinct_rows(state) == 1 and len(encode_states(state, params, CFG).rows.values) == 1
+    assert_encoding_matches_taped(state, params)
+
+    decoded = counting(monkeypatch, RouteDecoder, "step", lambda dec, fuels, mask: len(fuels))
+    assert_rollout_matches_taped([inst] * 2, [(0, 1)] * 2, params, actions=actions)
+    assert decoded == [1, 2, 2, 1, 1, 1] + [2] * 6     # untaped, then taped
+
+
+def test_untaped_encoder_runs_in_blocks_of_at_most_64_rows(params, monkeypatch):
+    inst = generate(GenConfig.preset("mstop20", seed=31))
+    encoded = counting(monkeypatch, mdl, "_encode", lambda depot, *rest: len(depot))
+    roll = assert_rollout_matches_taped([inst] * 128, [(0, 1)] * 128, params, seed=12)
+    state = env.reset([inst] * 128, [(0, 1)] * 128)
+    for col in roll.actions.T:
+        if (state.active_slot == 1).all():
+            break
+        state = env.step(state, col, col >= 0)
+    distinct = distinct_rows(state)
+    assert distinct > 64
+    blocks = [64] * (distinct // 64) + [distinct % 64] * (distinct % 64 > 0)
+    assert encoded == [1] + blocks + [128, 128]           # untaped, then taped
+    assert_encoding_matches_taped(state, params)
+
+    # batch statistics and the tape couple the rows: one call encodes them all
+    encoded.clear()
+    encode_states(state, params, CFG, tape=Tape())
+    encode_states(state, params.copy(), CFG, bn_training=True)
+    assert encoded == [128, 128]
 
 
 def assert_rollout_matches_taped(instances, orders, params, seed=None, actions=None):
@@ -306,7 +362,7 @@ def expected_groups(instances, orders, actions):
     """Rows decoded at each step of a rollout with this action record: the
     distinct (slot-start state, active vehicle, actions so far in the slot)
     over the open rows. A route's rows start from one encoded row exactly
-    when their slot-start states are equal."""
+    when their slot-start states look equal to the encoder (``row_keys``)."""
     state, counts = env.reset(instances, orders), []
     open_rows = np.zeros(len(state), dtype=bool)
     for col in actions.T:
@@ -322,13 +378,7 @@ def expected_groups(instances, orders, actions):
 
 
 def test_untaped_decoder_decodes_each_open_group_once(params, monkeypatch):
-    decoded, real = [], RouteDecoder.step
-
-    def counting_step(self, fuels, action_mask_add):
-        decoded.append(fuels.shape[0])
-        return real(self, fuels, action_mask_add)
-
-    monkeypatch.setattr(RouteDecoder, "step", counting_step)
+    decoded = counting(monkeypatch, RouteDecoder, "step", lambda dec, fuels, mask: len(fuels))
     inst = generate(GenConfig.preset("mstop20", seed=36))
     roll = mdl.rollout_states([inst] * 64, [(0, 1)] * 64, params, CFG,
                               rng=np.random.default_rng(11))

@@ -171,6 +171,17 @@ def test_tsili_steep_exponent_does_not_overflow():
     assert verify(inst, sol).ok and sol.objective > 0
 
 
+def test_tsili_feasible_customer_under_the_vehicle_does_not_overflow():
+    """A feasible customer at distance zero has an unbounded desirability; the
+    row is weighed relative to its best ratio instead of warning and drawing
+    from NaN probabilities (pytest turns the RuntimeWarning into an error)."""
+    inst = Instance(depot=(0.0, 0.0), customers=((0.5, 0.5, 1.0), (0.6, 0.5, 1.0)),
+                    vehicles=((0.5, 0.5, 3.0),), t_max=3.0)
+    sol = tsili_solve(inst, TsiliParams(samples=8, exponent=30), seed=0)
+    assert sol.routes == ((1, 2),) and sol.objective == 2.0
+    assert verify(inst, sol).ok
+
+
 def test_tsili_params_validation():
     with pytest.raises(ValueError):
         TsiliParams(samples=0).validate()
