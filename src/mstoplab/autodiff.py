@@ -225,10 +225,9 @@ def _op_concat(vals, attrs, needs):
     except ValueError:
         raise ShapeMismatchError("concat", f"incompatible shapes {[v.shape for v in vals]} along axis {axis}")
     sizes = [v.shape[axis] for v in vals]
-    splits = np.cumsum(sizes)[:-1]
 
     def backward(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
     return out, backward
 

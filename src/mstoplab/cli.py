@@ -145,6 +145,21 @@ def _solve_one(job):
     return tsili_solve(inst, tsili, seed=seed)
 
 
+def _reference_objectives(path) -> list:
+    """The ``objective`` of every record of a ``solve`` results file."""
+    refs = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                refs.append(json.loads(line)["objective"])
+            except (json.JSONDecodeError, KeyError, TypeError) as err:
+                raise UsageError(f"{path}: line {lineno} is not a results record with an objective "
+                                 f"({type(err).__name__}: {err})") from None
+    return refs
+
+
 def cmd_solve(args) -> int:
     instances = load_dataset(args.dataset)
     if instances:
@@ -154,6 +169,9 @@ def cmd_solve(args) -> int:
                              f"pass --force to override")
         if args.method == "brute" and n > BRUTE_N_LIMIT and not args.force:
             raise UsageError(f"brute-force enumeration capped at n <= {BRUTE_N_LIMIT} (dataset has n={n})")
+    refs = _reference_objectives(args.ref) if args.ref else None
+    if refs is not None and len(refs) != len(instances):
+        raise UsageError(f"reference file has {len(refs)} records, dataset has {len(instances)}")
     out = _out_dir(args.out)
     tsili = TsiliParams(samples=args.tsili_width, exponent=args.tsili_r, candidates=args.tsili_candidates)
     jobs = [(args.method, inst, args.budget, tsili, args.seed + i, args.force)
@@ -166,13 +184,6 @@ def cmd_solve(args) -> int:
     else:
         solutions = [_solve_one(j) for j in jobs]
     elapsed = time.perf_counter() - t0
-
-    refs = None
-    if args.ref:
-        with open(args.ref, "r", encoding="utf-8") as fh:
-            refs = [json.loads(line)["objective"] for line in fh if line.strip()]
-        if len(refs) != len(solutions):
-            raise UsageError(f"reference file has {len(refs)} records, dataset has {len(solutions)}")
 
     results_path = os.path.join(out, "results.jsonl")
     with atomic_write(results_path, "w", encoding="utf-8") as fh:

@@ -13,10 +13,10 @@ permutation rollout are encoded once in the first route, and rows whose
 earlier routes covered the same customers share one in later routes. Such
 calls encode at most 64 distinct rows at a time, so their temporaries stay
 the size of a training step's. Every decoder op acts on each row alone too,
-so an untaped rollout decodes one row per distinct open partial route
-(encoded row, active vehicle and actions so far) and drops rows whose route
-has ended; each batch row still draws its own action. A taped (training)
-call encodes and decodes every row.
+so a rollout decodes one row per distinct open partial route (encoded row,
+active vehicle and actions so far) and drops rows whose route has ended;
+each batch row still draws its own action. A taped (training) call encodes
+every row, so its rows share nothing and it decodes each open row.
 
 The decoder builds one action distribution per step:
 
@@ -311,16 +311,15 @@ class RouteDecoder:
     and the final scoring keys. ``params`` is the binding of a taped
     rollout, or plain parameters for an untaped decode.
 
-    A taped decoder decodes every state row at every step, finished routes
-    included, so the tape holds one row per trajectory. An untaped one
-    decodes one row per group: the open state rows with the same encoded
+    It decodes one row per group: the open state rows with the same encoded
     row, active vehicle and actions so far in this route, whose inputs to
     every op are equal. Rows that choose the depot leave it. ``group`` maps
     each state row to its decoded row (-1 once it has left) and ``lead``
     names one state row of each group, whose fuel and action mask ``step``
-    takes. ``src`` is the encoded row of each decoded row (the identity when
-    taped), and every row the decoder reads from ``emb.rows`` is a ``take``
-    at ``(src, ...)``.
+    takes. ``src`` is the encoded row of each decoded row, and every row
+    the decoder reads from ``emb.rows`` is a ``take`` at ``(src, ...)``.
+    Only the encoder's ``source`` merges rows: it is the identity for a
+    taped encode, so a taped decoder keeps one row per open state row.
     """
 
     def __init__(self, emb: Embeddings, params, cfg: DdtmConfig, vehicle_ids: np.ndarray):
@@ -330,15 +329,9 @@ class RouteDecoder:
         self.n = emb.n
         self.t_dec = 0
         self.hist = [[] for _ in range(cfg.decoder_layers)]
-        self.shared = bind.tape is None
-        if len(emb.rows.values) < len(vehicle_ids):
-            keys, self.lead, self.group = np.unique(emb.source * emb.k + vehicle_ids,
-                                                    return_index=True, return_inverse=True)
-            self.src, vehicle_ids = np.divmod(keys, emb.k)
-            graph = ad.take(emb.graph, (self.src,))
-        else:   # every row has its own encoding (``source`` is the identity)
-            self.src = self.lead = self.group = emb.source
-            graph = emb.graph
+        keys, self.lead, self.group = np.unique(emb.source * emb.k + vehicle_ids,
+                                                return_index=True, return_inverse=True)
+        self.src, vehicle_ids = np.divmod(keys, emb.k)
         node_part = ad.take(emb.rows, (self.src, slice(emb.n + 1)))
         veh_part = ad.take(emb.rows, (self.src[:, None], emb.n + 1 + vehicle_ids[:, None]))
         h_node = ad.concat([node_part, veh_part], axis=-2)          # (G, n+2, d)
@@ -347,6 +340,7 @@ class RouteDecoder:
             self.kv_att.append((ad.matmul(h_node, bind(f"dec{l}_att_wk")),
                                 ad.matmul(h_node, bind(f"dec{l}_att_wv"))))
         self.k_final = ad.matmul(node_part, bind("final_wk"))       # (G, n+1, d)
+        graph = ad.take(emb.graph, (self.src,))
         self.graph_q = ad.matmul(graph, bind("graph_proj_w"))       # (G, 1, d)
         self.cur_rows = veh_part                                    # (G, 1, d)
 
@@ -379,35 +373,33 @@ class RouteDecoder:
 
     def advance(self, actions: np.ndarray):
         """Move to the next decode step: each state row's chosen node (one
-        action per state row) becomes its current node. Untaped, the rows
-        that chose the depot leave, and the next groups are the distinct
-        (group, action) pairs of the rows that stay."""
+        action per state row) becomes its current node. The rows that chose
+        the depot leave, and the next groups are the distinct (group, action)
+        pairs of the rows that stay."""
         self.t_dec += 1
-        nodes = actions
-        if self.shared:
-            member = self.group >= 0
-            stay = np.flatnonzero(member & (actions != 0))
-            if not stay.size:
-                self.group = np.full_like(self.group, -1)
-                return
-            if len(self.lead) == np.count_nonzero(member):
-                # one row per group, so none splits: the rows that stay keep theirs
-                parent, nodes, first, inverse = self.group[stay], actions[stay], slice(None), np.arange(len(stay))
-            else:
-                keys, first, inverse = np.unique(self.group[stay] * (self.n + 1) + actions[stay],
-                                                 return_index=True, return_inverse=True)
-                parent, nodes = np.divmod(keys, self.n + 1)
-            if not np.array_equal(parent, np.arange(len(self.lead))):
-                # one index per tensor narrows or repeats the decoded rows; the
-                # history collapses into one tensor per layer first
-                take = lambda values: ad.constant(values[parent])
-                self.kv_att = [(take(k.values), take(v.values)) for k, v in self.kv_att]
-                self.k_final, self.graph_q = take(self.k_final.values), take(self.graph_q.values)
-                self.hist = [[take(np.concatenate([x.values for x in h], axis=-2))] for h in self.hist]
+        member = self.group >= 0
+        stay = np.flatnonzero(member & (actions != 0))
+        if not stay.size:
             self.group = np.full_like(self.group, -1)
-            self.group[stay] = inverse
-            self.lead = stay[first]
-            self.src = self.src[parent]
+            return
+        if len(self.lead) == np.count_nonzero(member):
+            # one row per group, so none splits: the rows that stay keep theirs
+            parent, nodes, first, inverse = self.group[stay], actions[stay], slice(None), np.arange(len(stay))
+        else:
+            keys, first, inverse = np.unique(self.group[stay] * (self.n + 1) + actions[stay],
+                                             return_index=True, return_inverse=True)
+            parent, nodes = np.divmod(keys, self.n + 1)
+        if not np.array_equal(parent, np.arange(len(self.lead))):
+            # one ``take`` per tensor narrows or repeats the decoded rows; the
+            # history collapses into one tensor per layer first
+            take = lambda t: ad.take(t, (parent,))
+            self.kv_att = [(take(k), take(v)) for k, v in self.kv_att]
+            self.k_final, self.graph_q = take(self.k_final), take(self.graph_q)
+            self.hist = [[take(ad.concat(h, axis=-2))] for h in self.hist]
+        self.group = np.full_like(self.group, -1)
+        self.group[stay] = inverse
+        self.lead = stay[first]
+        self.src = self.src[parent]
         self.cur_rows = ad.take(self.emb.rows, (self.src[:, None], nodes[:, None]))
 
 
@@ -440,17 +432,17 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
     ``bn_training`` normalizes with batch statistics and folds them into the
     running buffers of ``params``.
 
-    Every vehicle slot is decoded jointly: rows whose route already ended
-    keep only the depot feasible, so their point-mass distribution adds
-    exactly zero log-probability, entropy and gradient to the returned sums,
-    and the environment leaves them unchanged until the slot ends. Untaped,
-    those rows leave the decoder and the open rows are decoded once per
-    group (see :class:`RouteDecoder`); each row still takes its own action
-    and adds its own terms to the sums.
+    Every vehicle slot is decoded jointly. A row whose route has ended
+    leaves the decoder and the open rows are decoded once per group (see
+    :class:`RouteDecoder`); each row still takes its own action and adds its
+    own terms to the sums. An ended row adds what its point mass at the
+    depot would: log-probability 0.0, entropy -0.0 and no gradient, and the
+    environment leaves it unchanged until the slot ends.
     """
     state = env.reset(list(instances), list(orders))
     b = len(state)
     bind = _Binding(params, tape)
+    depot_mass = np.zeros((1, state.visited.shape[1] + 1))
     record = []
     logp_acc = None
     ent_acc = None
@@ -477,14 +469,11 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
             else:
                 actions = env.sample_rows(probs, dec.group, rng)
             actions = np.where(open_rows, actions, 0)
-            if dec.shared:
-                # a finished row adds what its point mass at the depot would:
-                # log-probability 0.0 and entropy -0.0
-                chosen = ad.constant(np.where(open_rows, logp.values[dec.group, actions], 0.0))
-                ent = ad.constant(np.where(open_rows, _entropy(logp).values[dec.group], -0.0))
-            else:
-                chosen = ad.take(logp, (np.arange(b), actions))
-                ent = _entropy(logp)
+            # a row that left reads the padding row (group -1), its point mass
+            # at the depot: log-probability 0.0 and entropy -0.0
+            padded = ad.concat([logp, depot_mass], axis=0)
+            chosen = ad.take(padded, (dec.group, actions))
+            ent = ad.take(_entropy(padded), (dec.group,))
             logp_acc = chosen if logp_acc is None else ad.add(logp_acc, chosen)
             ent_acc = ent if ent_acc is None else ad.add(ent_acc, ent)
             ent_value_total += float(ent.values.sum())

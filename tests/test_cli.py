@@ -93,6 +93,27 @@ def test_solve_tsili_with_reference_gap(tmp_path, dataset_dir, capsys):
     assert "mean_gap=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("case", ["dataset", "malformed"])
+def test_solve_rejects_bad_reference_file_naming_file_and_line(tmp_path, dataset_dir, capsys, case):
+    """A dataset passed as ``--ref`` has no objectives, and a line that is not
+    JSON has no record: both are usage errors that name the file and the
+    line, raised before any solving."""
+    ref = dataset_dir / "dataset.jsonl"
+    lineno = 1
+    if case == "malformed":
+        lines = [json.dumps({"instance": i, "objective": 1.0}) for i in range(12)]
+        lines[4] = "{not json"
+        ref, lineno = tmp_path / "results.jsonl", 5
+        ref.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "tsili"
+    code = run_cli(["solve", "--dataset", str(dataset_dir / "dataset.jsonl"), "--method", "tsili",
+                    "--workers", "1", "--ref", str(ref), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and f"{ref}: line {lineno} " in err
+    assert not out.exists()
+
+
 def test_solve_reports_budget_exhaustion_and_expansions(tmp_path, dataset_dir, capsys):
     out = tmp_path / "exact"
     code = run_cli(["solve", "--dataset", str(dataset_dir / "dataset.jsonl"),

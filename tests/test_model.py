@@ -9,10 +9,11 @@ from mstoplab import autodiff as ad
 from mstoplab import env
 from mstoplab import model as mdl
 from mstoplab.autodiff import NEG_INF, Tape
-from mstoplab.instances import N_SYMMETRIES, GenConfig, Instance, apply_symmetry, generate
+from mstoplab.instances import N_SYMMETRIES, GenConfig, Instance, apply_symmetry, augment, generate
 from mstoplab.model import (LOGIT_CLAMP, DdtmConfig, DdtmParameters, RouteDecoder,
                             encode_states, parameter_schema, positional_encoding)
 from mstoplab.oracle import solve_exact
+from mstoplab.training import surrogate_loss
 
 from conftest import forced_rollout, generous_instance, rollout_one, tiny_instance
 
@@ -377,7 +378,7 @@ def expected_groups(instances, orders, actions):
     return counts
 
 
-def test_untaped_decoder_decodes_each_open_group_once(params, monkeypatch):
+def test_decoder_decodes_each_open_group_once(params, monkeypatch):
     decoded = counting(monkeypatch, RouteDecoder, "step", lambda dec, fuels, mask: len(fuels))
     inst = generate(GenConfig.preset("mstop20", seed=36))
     roll = mdl.rollout_states([inst] * 64, [(0, 1)] * 64, params, CFG,
@@ -395,11 +396,13 @@ def test_untaped_decoder_decodes_each_open_group_once(params, monkeypatch):
     counts = expected_groups([three] * len(perms), perms, roll.actions)
     assert decoded == counts and counts[0] == 3
 
-    # a taped rollout decodes every row at every step
+    # a taped encode gives every state row its own encoded row, so a taped
+    # rollout decodes each open row once and no row that has left
     decoded.clear()
     roll = mdl.rollout_states([inst] * 64, [(0, 1)] * 64, params, CFG,
                               rng=np.random.default_rng(11), tape=Tape())
-    assert decoded == [64] * roll.actions.shape[1]
+    open_per_step = (roll.actions >= 0).sum(axis=0).tolist()
+    assert decoded == open_per_step and min(open_per_step) < 64
 
 
 def test_batch_statistics_see_every_row(params):
@@ -435,7 +438,9 @@ def test_decode_distribution_contract(params):
 
 def test_taped_encoder_and_decoder_step_op_kinds(params, monkeypatch):
     """Each attention block is one ``attention`` op, and the only ``reshape``
-    left is the one that flattens the logits."""
+    left is the one that flattens the logits. A taped regroup narrows each
+    per-route tensor with one ``take`` and collapses each history layer with
+    one ``concat`` before its ``take``."""
     issued, real = [], ad.forward
 
     def recording(kind, inputs, attrs=None):
@@ -455,11 +460,21 @@ def test_taped_encoder_and_decoder_step_op_kinds(params, monkeypatch):
     mask = np.where(env.feasible_mask(state), 0.0, NEG_INF)
     head = ["concat", "matmul", "add"]
     tail = ["add", "matmul", "matmul", "mul", "tanh", "mul", "reshape", "log_softmax"]
-    for hist in ([], ["concat"]):
+    # kv_att per layer, then k_final and graph_q, then the history per layer
+    regroup = (["take", "take"] * CFG.decoder_layers + ["take", "take"]
+               + ["concat", "take"] * CFG.decoder_layers)
+    # row 0 moves to a customer and stays; row 1 returns to the depot and leaves
+    actions = np.array([np.flatnonzero(mask[0] == 0.0)[-1], 0])
+    assert actions[0] > 0
+    for hist, moves in (([], regroup + ["take"]), (["concat"], ["take"])):
         issued.clear()
-        logp = dec.step(state.fuel, mask)
+        logp = dec.step(state.fuel[dec.lead], mask[dec.lead])
         assert issued == head + (hist + ["matmul", "matmul", "attention", "attention"]) * CFG.decoder_layers + tail
-        dec.advance(np.argmax(logp.values, axis=1))
+        assert len(logp.values) == len(dec.lead)
+        issued.clear()
+        dec.advance(actions)
+        assert issued == moves
+    np.testing.assert_array_equal(dec.lead, [0])
 
 
 def test_decode_point_mass_when_everything_masked(params):
@@ -561,6 +576,95 @@ def test_batched_rollout_matches_single(params):
         single = rollout_one(inst, order, params, CFG)
         assert single.routes == traj.routes
         assert abs(single.reward - traj.reward) <= 1e-12
+
+
+def keep_every_row(dec, actions):
+    """Reference ``RouteDecoder.advance`` for a taped decoder: no row leaves,
+    so every state row is decoded to the end of its vehicle slot, a finished
+    one as a point mass at the depot."""
+    dec.t_dec += 1
+    dec.cur_rows = ad.take(dec.emb.rows, (dec.src[:, None], actions[:, None]))
+
+
+def taped_loss_fingerprint(run, params, advantages_of):
+    """Run ``run(params, tape, rng)`` (a taped rollout with batch statistics)
+    on a copy of ``params``; return its outputs, the generator's next draws,
+    the folded batch-norm statistics, every gradient of the surrogate loss
+    and the rows decoded per step."""
+    p, tape, rng = params.copy(), Tape(), np.random.default_rng(100)
+    with pytest.MonkeyPatch.context() as mp:
+        decoded = counting(mp, RouteDecoder, "step", lambda dec, fuels, mask: len(fuels))
+        roll = run(p, tape, rng)
+    loss = surrogate_loss(roll, advantages_of(roll.rewards), alpha=0.01)
+    grads = roll.binding.gradients(tape.backward(loss))
+    exact = [roll.actions, roll.rewards, roll.logp_sum.values, roll.entropy_sum.values,
+             np.float64(roll.mean_step_entropy), loss.values, rng.random(4)]
+    exact += [p[name] for name in sorted(p.stats)]
+    return [a.tobytes() for a in exact], grads, decoded
+
+
+def assert_rows_leaving_match_every_row(run, params, advantages_of):
+    """The taped decoder, which drops finished rows, against the reference
+    that keeps them: outputs and generator draws byte for byte, every
+    gradient within 1e-12 relative to its largest entry. Returns the rows
+    each decoded per step."""
+    fast, fast_grads, fast_rows = taped_loss_fingerprint(run, params, advantages_of)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RouteDecoder, "advance", keep_every_row)
+        slow, slow_grads, slow_rows = taped_loss_fingerprint(run, params, advantages_of)
+    assert fast == slow
+    assert set(fast_grads) == set(slow_grads)
+    for name, g in slow_grads.items():
+        assert np.abs(fast_grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+    return fast_rows, slow_rows
+
+
+def instance_aug_advantages(rewards):
+    per_instance = rewards.reshape(-1, N_SYMMETRIES)
+    return (per_instance - per_instance.mean(axis=1, keepdims=True)).reshape(-1)
+
+
+@pytest.mark.parametrize("gen_cfg, seed", [
+    (GenConfig.preset("mstop20", seed=60), 0),
+    (GenConfig.preset("mstop20", seed=60), 5),
+    (GenConfig.preset("mstop10", seed=61), 0),
+    (GenConfig(n=6, k=2, t_max=1.5, prize_mode="constant", seed=62), 0),
+])
+def test_taped_decoder_dropping_finished_rows_matches_keeping_them(gen_cfg, seed):
+    """64-row instance-aug training rollouts: eight raw instances, each under
+    its eight symmetries and one vehicle order."""
+    params = DdtmParameters.init(CFG, seed=seed)
+    raw = [generate(dataclasses.replace(gen_cfg, seed=gen_cfg.seed * 100 + i)) for i in range(8)]
+    order_rng = np.random.default_rng(seed)
+    instances, orders = [], []
+    for inst in raw:
+        order = tuple(int(v) for v in order_rng.permutation(inst.k))
+        instances += augment(inst)
+        orders += [order] * N_SYMMETRIES
+
+    def run(p, tape, rng):
+        return mdl.rollout_states(instances, orders, p, CFG, rng=rng, tape=tape, bn_training=True)
+
+    fast_rows, slow_rows = assert_rows_leaving_match_every_row(run, params, instance_aug_advantages)
+    assert slow_rows == [64] * len(slow_rows) and sum(fast_rows) < sum(slow_rows)
+
+
+def test_taped_replay_dropping_finished_rows_matches_keeping_them():
+    """Criterion 3's teacher-forced batch: two raw instances, each under its
+    eight symmetries and one vehicle order, d=16."""
+    cfg = DdtmConfig(d=16, heads=2, ff_dim=32, encoder_layers=1, decoder_layers=1)
+    params = DdtmParameters.init(cfg, seed=0)
+    instances = []
+    for raw_seed in (800, 801):
+        instances += augment(generate(GenConfig(n=4, k=2, t_max=1.5, prize_mode="uniform", seed=raw_seed)))
+    orders = [(0, 1)] * 8 + [(1, 0)] * 8
+    actions = mdl.rollout_states(instances, orders, params, cfg, rng=np.random.default_rng(0)).actions
+
+    def run(p, tape, rng):
+        return forced_rollout(instances, orders, p, cfg, actions, tape=tape, bn_training=True)
+
+    fast_rows, slow_rows = assert_rows_leaving_match_every_row(run, params, instance_aug_advantages)
+    assert sum(fast_rows) < sum(slow_rows)
 
 
 def test_gradient_reaches_every_parameter(params):
