@@ -149,49 +149,36 @@ def _swap_last(x):
 
 def _op_matmul(vals, attrs, needs):
     a, b = vals
+    if a.ndim < 2 or b.ndim < 2:    # numpy would take a 1-D operand as a vector
+        raise ValueError("operands must be at least 2-D")
     transpose_b = attrs.get("transpose_b", False)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeMismatchError("matmul", f"operands must be at least 2-D, got {a.shape} and {b.shape}")
-    b_eff_rows = b.shape[-1] if transpose_b else b.shape[-2]
-    if a.shape[-1] != b_eff_rows:
-        raise ShapeMismatchError(
-            "matmul", f"inner extents disagree: {a.shape} x {b.shape} (transpose_b={transpose_b})")
-    out = a @ (_swap_last(b) if transpose_b else b)
+    bt = _swap_last(b) if transpose_b else b
+    out = a @ bt
     need_a, need_b = needs
 
     def backward(g):
         ga = gb = None
-        if b.ndim == 2:
+        if bt.ndim == 2:
             # batched activations against one weight matrix: flatten to a
             # single GEMM instead of per-element outer products
             g2 = g.reshape(-1, g.shape[-1])
             if need_a:
-                ga = (g2 @ (b.T if not transpose_b else b)).reshape(a.shape)
+                ga = (g2 @ bt.T).reshape(a.shape)
             if need_b:
-                a2 = a.reshape(-1, a.shape[-1])
-                gb = a2.T @ g2 if not transpose_b else g2.T @ a2
-            return ga, gb
-        if transpose_b:
-            if need_a:
-                ga = _unbroadcast(g @ b, a.shape)
-            if need_b:
-                gb = _unbroadcast(_swap_last(g) @ a, b.shape)
+                gb = a.reshape(-1, a.shape[-1]).T @ g2
         else:
             if need_a:
-                ga = _unbroadcast(g @ _swap_last(b), a.shape)
+                ga = _unbroadcast(g @ _swap_last(bt), a.shape)
             if need_b:
-                gb = _unbroadcast(_swap_last(a) @ g, b.shape)
-        return ga, gb
+                gb = _unbroadcast(_swap_last(a) @ g, bt.shape)
+        return ga, (_swap_last(gb) if transpose_b and gb is not None else gb)
 
     return out, backward
 
 
 def _op_add(vals, attrs, needs):
     a, b = vals
-    try:
-        out = a + b
-    except ValueError:
-        raise ShapeMismatchError("add", f"shapes not broadcastable: {a.shape} vs {b.shape}")
+    out = a + b
 
     def backward(g):
         return (_unbroadcast(g, a.shape) if needs[0] else None,
@@ -202,10 +189,7 @@ def _op_add(vals, attrs, needs):
 
 def _op_mul(vals, attrs, needs):
     a, b = vals
-    try:
-        out = a * b
-    except ValueError:
-        raise ShapeMismatchError("mul", f"shapes not broadcastable: {a.shape} vs {b.shape}")
+    out = a * b
 
     def backward(g):
         return (_unbroadcast(g * b, a.shape) if needs[0] else None,
@@ -216,14 +200,7 @@ def _op_mul(vals, attrs, needs):
 
 def _op_concat(vals, attrs, needs):
     axis = attrs.get("axis", -1)
-    ref = vals[0].ndim
-    for v in vals:
-        if v.ndim != ref:
-            raise ShapeMismatchError("concat", f"rank mismatch: {[v.shape for v in vals]}")
-    try:
-        out = np.concatenate(vals, axis=axis)
-    except ValueError:
-        raise ShapeMismatchError("concat", f"incompatible shapes {[v.shape for v in vals]} along axis {axis}")
+    out = np.concatenate(vals, axis=axis)
     sizes = [v.shape[axis] for v in vals]
 
     def backward(g):
@@ -277,9 +254,7 @@ def _op_attention(vals, attrs, needs):
     d = x.shape[-1]
     if (x.ndim != 3 or k.ndim != 3 or v.shape != k.shape or k.shape[0] != x.shape[0] or k.shape[2] != d
             or wq.shape != (d, d) or wout.shape != (d, d) or d % heads):
-        raise ShapeMismatchError(
-            "attention", f"x {x.shape}, k {k.shape}, v {v.shape}, wq {wq.shape}, wout {wout.shape}, "
-                         f"{heads} heads")
+        raise ValueError(f"operands do not fit {heads} heads over query rows of width {d}")
     c = 1.0 / math.sqrt(d // heads)
     qh = _split_heads(x @ wq, heads)
     kh, vh = _split_heads(k, heads), _split_heads(v, heads)
@@ -287,11 +262,7 @@ def _op_attention(vals, attrs, needs):
     p *= c
     mask = attrs.get("mask")
     if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        try:
-            p += mask
-        except ValueError:
-            raise ShapeMismatchError("attention", f"mask shape {mask.shape} not broadcastable to {p.shape}")
+        p += np.asarray(mask, dtype=np.float64)
     _softmax_raw(p)
     o = _matmul_merged(p, vh)
     out = o @ wout
@@ -315,11 +286,7 @@ def _op_attention(vals, attrs, needs):
 
 def _op_log_softmax(vals, attrs, needs):
     (x,) = vals
-    mask = np.asarray(attrs["mask"], dtype=np.float64)
-    try:
-        z = x + mask
-    except ValueError:
-        raise ShapeMismatchError("log_softmax", f"mask shape {mask.shape} not broadcastable to {x.shape}")
+    z = x + np.asarray(attrs["mask"], dtype=np.float64)
     m = np.max(z, axis=-1, keepdims=True)
     if np.isneginf(m).any():
         raise NonFiniteError("log_softmax: a row is fully masked to -inf")
@@ -352,16 +319,11 @@ def _op_exp(vals, attrs, needs):
     return out, lambda g: (g * out,)
 
 
-def _sum_backward(g, x_shape, axis):
-    if axis is None:
-        return np.full(x_shape, 1.0, dtype=np.float64) * g
-    return np.broadcast_to(np.expand_dims(g, axis), x_shape).copy()
-
-
 def _op_sum(vals, attrs, needs):
     (x,) = vals
     axis = attrs.get("axis")
-    return x.sum(axis=axis), lambda g: (_sum_backward(g, x.shape, axis),)
+    return x.sum(axis=axis), lambda g: (
+        np.broadcast_to(g if axis is None else np.expand_dims(g, axis), x.shape).copy(),)
 
 
 def _op_batchnorm(vals, attrs, needs):
@@ -374,11 +336,12 @@ def _op_batchnorm(vals, attrs, needs):
     (x,) = vals
     running_mean = attrs["running_mean"]
     running_var = attrs["running_var"]
+    # numpy would reduce a 1-D input over no axis and broadcast wrong statistics
     if x.ndim < 2:
-        raise ShapeMismatchError("batchnorm", f"need at least 2-D input, got {x.shape}")
+        raise ValueError("need at least 2-D input")
     if running_mean.shape != (x.shape[-1],) or running_var.shape != (x.shape[-1],):
-        raise ShapeMismatchError(
-            "batchnorm", f"running stats {running_mean.shape}/{running_var.shape} do not match channels {x.shape[-1]}")
+        raise ValueError(f"running statistics {running_mean.shape}/{running_var.shape} "
+                         f"do not match {x.shape[-1]} channels")
     axes = tuple(range(x.ndim - 1))
 
     if attrs["training"]:
@@ -406,10 +369,7 @@ def _op_batchnorm(vals, attrs, needs):
 
 def _op_reshape(vals, attrs, needs):
     (x,) = vals
-    shape = tuple(attrs["shape"])
-    if int(np.prod(shape)) != x.size:
-        raise ShapeMismatchError("reshape", f"cannot reshape {x.shape} to {shape}")
-    return x.reshape(shape), lambda g: (g.reshape(x.shape),)
+    return x.reshape(attrs["shape"]), lambda g: (g.reshape(x.shape),)
 
 
 def _op_take(vals, attrs, needs):
@@ -417,10 +377,7 @@ def _op_take(vals, attrs, needs):
     # indices add their gradients.
     (x,) = vals
     index = attrs["index"]
-    try:
-        out = x[index]
-    except IndexError as exc:
-        raise ShapeMismatchError("take", f"index does not fit shape {x.shape}: {exc}")
+    out = x[index]
 
     def backward(g):
         gx = np.zeros_like(x)
@@ -461,7 +418,9 @@ def forward(kind: str, inputs, attrs=None) -> Tensor:
     Inputs that are plain arrays are constants. All taped inputs must share
     one tape; the output lives on that tape and only its taped inputs get
     gradients. With no taped input the output is a constant. Values are not
-    checked for finiteness.
+    checked for finiteness. An op's ``ValueError`` or ``IndexError`` (numpy's
+    own, or the op's check of what numpy would let through) becomes a
+    :class:`ShapeMismatchError` that names the kind and the input shapes.
     """
     if kind not in OP_KINDS:
         raise AutodiffError(f"unknown operation kind '{kind}'")
@@ -475,7 +434,10 @@ def forward(kind: str, inputs, attrs=None) -> Tensor:
             tape = t.tape
         vals.append(t.values)
         ids.append(t.node_id)
-    value, backward_fn = OP_KINDS[kind](vals, attrs or {}, tuple(i is not None for i in ids))
+    try:
+        value, backward_fn = OP_KINDS[kind](vals, attrs or {}, tuple(i is not None for i in ids))
+    except (ValueError, IndexError) as exc:
+        raise ShapeMismatchError(kind, f"{exc}; input shapes {[v.shape for v in vals]}") from exc
     if tape is None:
         return Tensor(value)
     out = Tensor(value, tape=tape, node_id=tape._new_id())

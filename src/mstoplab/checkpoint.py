@@ -28,7 +28,7 @@ MAGIC = b"MSTOP\x00"
 FORMAT_VERSION = 1
 
 
-class CheckpointError(Exception):
+class CheckpointError(ValueError):
     pass
 
 

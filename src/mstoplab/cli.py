@@ -224,6 +224,8 @@ def cmd_train(args) -> int:
         seed_data=args.seed_data, seed_model=args.seed_model, seed_rollout=args.seed_rollout,
     )
     train_cfg.validate()
+    if train_cfg.epochs < 1:    # the library's no-op; here it would write no checkpoint
+        raise UsageError(f"--epochs must be at least 1, got {train_cfg.epochs}")
     out = _out_dir(args.out)
     _write_manifest(out, "train", {
         "gen": {"n": gen_cfg.n, "k": gen_cfg.k, "t_max": gen_cfg.t_max,

@@ -48,7 +48,7 @@ PRESETS = {
 PRIZE_MODES = ("constant", "uniform")
 
 
-class DatasetError(Exception):
+class DatasetError(ValueError):
     pass
 
 

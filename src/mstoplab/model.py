@@ -450,7 +450,7 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
     alive_steps = 0
 
     for slot in range(state.orders.shape[1]):
-        emb = encode_states(state, bind, cfg, tape=tape, bn_training=bn_training)
+        emb = encode_states(state, bind, cfg, bn_training=bn_training)
         dec = RouteDecoder(emb, bind, cfg, state.orders[:, slot])
         open_rows = np.ones(b, dtype=bool)
         while open_rows.any():

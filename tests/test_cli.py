@@ -146,6 +146,15 @@ def test_solve_missing_dataset(tmp_path):
                     "--method", "exact", "--out", str(tmp_path / "o")]) == 1
 
 
+def test_solve_malformed_dataset_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("{not json\n")
+    assert run_cli(["solve", "--dataset", str(bad), "--method", "exact",
+                    "--out", str(tmp_path / "o")]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # --- train ----------------------------------------------------------------------
 
 def test_train_writes_outputs_and_manifest(trained_dir):
@@ -293,6 +302,23 @@ def test_eval_rejects_bad_strategy_list_before_work(tmp_path, dataset_dir, train
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize("case", ["dataset", "checkpoint"])
+def test_eval_rejects_a_file_of_the_wrong_kind(tmp_path, dataset_dir, trained_dir, capsys, case):
+    """A malformed dataset (here a metrics file) or a checkpoint that is not
+    one (here the dataset) is a usage error, and nothing is written."""
+    dataset, checkpoint = dataset_dir / "dataset.jsonl", trained_dir / "best.ckpt"
+    if case == "dataset":
+        dataset = trained_dir / "metrics.csv"
+    else:
+        checkpoint = dataset_dir / "dataset.jsonl"
+    code = run_cli(["eval", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+                    "--d", "16", "--heads", "2", "--ff-dim", "32", "--enc-layers", "1",
+                    "--out", str(tmp_path / "bad")])
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
 def test_eval_checkpoint_shape_mismatch_reports_both(tmp_path, dataset_dir, trained_dir, capsys):
     code = run_cli(["eval", "--dataset", str(dataset_dir / "dataset.jsonl"),
                     "--checkpoint", str(trained_dir / "best.ckpt"),
@@ -385,7 +411,7 @@ def test_unknown_flag_is_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [("--lr", "0"), ("--lr", "-1e-4"), ("--clip-norm", "-1"),
-                                         ("--val-size", "0")])
+                                         ("--val-size", "0"), ("--epochs", "0")])
 def test_train_rejects_config_that_trains_wrong(tmp_path, capsys, flag, value):
     out = tmp_path / "run"
     assert run_cli(["train", "--n", "5", "--k", "2", "--t-max", "1.5", "--epochs", "1",
