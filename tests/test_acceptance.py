@@ -13,6 +13,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -61,16 +62,21 @@ def tiny_runs():
     """3 seeds x {D: instance-aug + entropy, A: greedy rollout, alpha=0}.
 
     Each run is deterministic given its config, so the six run in up to six
-    worker processes (one per usable CPU; serially on one CPU) with the
-    results of a serial run."""
+    worker processes (one per usable CPU, each with one BLAS thread; serially
+    on one CPU) with the results of a serial run."""
     arms, seeds = [arm for arm in ("D", "A") for _ in range(3)], [0, 1, 2] * 2
     workers = min(len(os.sched_getaffinity(0)), len(arms))
     if workers == 1:
         results = list(map(_tiny_run, arms, seeds))
     else:
-        # a RuntimeWarning fails a run in a worker as it does under pytest
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
-                                 initializer=warnings.simplefilter, initargs=("error", RuntimeWarning)) as pool:
+        # Workers inherit the environment when spawned, before numpy loads its
+        # BLAS: a BLAS thread per CPU in every worker oversubscribes the CPUs and
+        # made the runs about five times slower. A RuntimeWarning fails a run in
+        # a worker as it does under pytest.
+        one_thread = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        with mock.patch.dict(os.environ, one_thread), \
+                ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
+                                    initializer=warnings.simplefilter, initargs=("error", RuntimeWarning)) as pool:
             results = list(pool.map(_tiny_run, arms, seeds))
     return {"D": results[:3], "A": results[3:]}
 
