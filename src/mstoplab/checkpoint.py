@@ -17,6 +17,7 @@ Scalars are stored as rank-0 blocks.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 
@@ -43,19 +44,23 @@ def _write_block(fh, name: str, arr: np.ndarray):
 
 
 def _read_exact(fh, n):
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointError("truncated checkpoint file")
-    return data
+    # a length read from the file is checked before it sizes a read
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise CheckpointError(f"truncated checkpoint file: {n} bytes expected, {left} left")
+    return fh.read(n)
 
 
 def _read_block(fh):
     (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-    name = _read_exact(fh, name_len).decode("utf-8")
+    raw = _read_exact(fh, name_len)
+    try:
+        name = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"array name {raw[:32]!r} is not UTF-8") from None
     (rank,) = struct.unpack("<I", _read_exact(fh, 4))
     shape = tuple(struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(rank))
-    count = int(np.prod(shape)) if shape else 1
-    payload = _read_exact(fh, count * 8)
+    payload = _read_exact(fh, math.prod(shape) * 8)
     arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
     return name, arr
 
@@ -123,10 +128,13 @@ def load_checkpoint(path):
         if n_adam == 0:
             return params, None
         raw = dict(_read_block(fh) for _ in range(n_adam))
-        adam = AdamState(
-            lr=float(raw["lr"]), beta1=float(raw["beta1"]), beta2=float(raw["beta2"]),
-            eps=float(raw["eps"]), step=int(raw["step"]),
-        )
+        try:
+            adam = AdamState(
+                lr=float(raw["lr"]), beta1=float(raw["beta1"]), beta2=float(raw["beta2"]),
+                eps=float(raw["eps"]), step=int(raw["step"]),
+            )
+        except (KeyError, TypeError) as err:     # a scalar is missing or has more than one entry
+            raise CheckpointError(f"optimizer state without its scalars: {err}") from None
         for name, arr in raw.items():
             if name.startswith("m:"):
                 adam.m[name[2:]] = arr

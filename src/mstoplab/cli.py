@@ -453,10 +453,7 @@ def main(argv=None) -> int:
             rest = [command] + _config_tokens(known.config, command, parser) + rest[1:]
         args = parser.parse_args((["--config", known.config] if known.config else []) + rest)
         return args.func(args)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, FileNotFoundError) as err:
+    except (UsageError, ValueError, FileNotFoundError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # runtime failure

@@ -377,18 +377,13 @@ class RouteDecoder:
         the depot leave, and the next groups are the distinct (group, action)
         pairs of the rows that stay."""
         self.t_dec += 1
-        member = self.group >= 0
-        stay = np.flatnonzero(member & (actions != 0))
+        stay = np.flatnonzero((self.group >= 0) & (actions != 0))
         if not stay.size:
             self.group = np.full_like(self.group, -1)
             return
-        if len(self.lead) == np.count_nonzero(member):
-            # one row per group, so none splits: the rows that stay keep theirs
-            parent, nodes, first, inverse = self.group[stay], actions[stay], slice(None), np.arange(len(stay))
-        else:
-            keys, first, inverse = np.unique(self.group[stay] * (self.n + 1) + actions[stay],
-                                             return_index=True, return_inverse=True)
-            parent, nodes = np.divmod(keys, self.n + 1)
+        keys, first, inverse = np.unique(self.group[stay] * (self.n + 1) + actions[stay],
+                                         return_index=True, return_inverse=True)
+        parent, nodes = np.divmod(keys, self.n + 1)
         if not np.array_equal(parent, np.arange(len(self.lead))):
             # one ``take`` per tensor narrows or repeats the decoded rows; the
             # history collapses into one tensor per layer first
@@ -408,9 +403,9 @@ class BatchRollout:
     orders: np.ndarray                   # (B, K) vehicle orders
     actions: np.ndarray                  # (B, T) action record, -1 where a row did not act
     rewards: np.ndarray                  # (B,)
-    logp_sum: Tensor                     # (B,) on-tape trajectory log-probabilities
-    entropy_sum: Tensor                  # (B,) on-tape summed step entropies
-    mean_step_entropy: float
+    logp_sum: Tensor                     # (B,) on-tape trajectory log-probabilities, and
+    entropy_sum: Tensor                  # (B,) on-tape summed step entropies, both gathered after the last step
+    mean_step_entropy: float             # step entropy per acting (row, step) pair
     binding: _Binding
 
     def trajectory(self, i: int) -> env.Trajectory:
@@ -434,25 +429,21 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
 
     Every vehicle slot is decoded jointly. A row whose route has ended
     leaves the decoder and the open rows are decoded once per group (see
-    :class:`RouteDecoder`); each row still takes its own action and adds its
-    own terms to the sums. An ended row adds what its point mass at the
-    depot would: log-probability 0.0, entropy -0.0 and no gradient, and the
-    environment leaves it unchanged until the slot ends.
+    :class:`RouteDecoder`); each row still takes its own action, and the
+    environment leaves an ended row unchanged until the slot ends. One
+    gather after the last step builds every row's sums of chosen
+    log-probabilities and of step entropies; a row that did not act at a
+    step reads a point mass at the depot there: log-probability 0.0,
+    entropy -0.0 and no gradient.
     """
     state = env.reset(list(instances), list(orders))
-    b = len(state)
     bind = _Binding(params, tape)
-    depot_mass = np.zeros((1, state.visited.shape[1] + 1))
-    record = []
-    logp_acc = None
-    ent_acc = None
-    ent_value_total = 0.0
-    alive_steps = 0
+    record, logps, rows, decoded = [], [], [], 0
 
     for slot in range(state.orders.shape[1]):
         emb = encode_states(state, bind, cfg, bn_training=bn_training)
         dec = RouteDecoder(emb, bind, cfg, state.orders[:, slot])
-        open_rows = np.ones(b, dtype=bool)
+        open_rows = np.ones(len(state), dtype=bool)
         while open_rows.any():
             lead = dec.lead
             mask_add = np.where(env.feasible_mask(state, open_rows)[lead], 0.0, NEG_INF)
@@ -469,26 +460,27 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
             else:
                 actions = env.sample_rows(probs, dec.group, rng)
             actions = np.where(open_rows, actions, 0)
-            # a row that left reads the padding row (group -1), its point mass
-            # at the depot: log-probability 0.0 and entropy -0.0
-            padded = ad.concat([logp, depot_mass], axis=0)
-            chosen = ad.take(padded, (dec.group, actions))
-            ent = ad.take(_entropy(padded), (dec.group,))
-            logp_acc = chosen if logp_acc is None else ad.add(logp_acc, chosen)
-            ent_acc = ent if ent_acc is None else ad.add(ent_acc, ent)
-            ent_value_total += float(ent.values.sum())
-            alive_steps += int(open_rows.sum())
+            logps.append(logp)
+            rows.append(np.where(open_rows, dec.group + decoded, -1))
+            decoded += len(logp.values)
             state = env.step(state, actions, open_rows)
             record.append(np.where(open_rows, actions, -1))
             open_rows &= actions != 0
             dec.advance(actions)
 
+    # one gather over every step; a row that did not act reads the last row,
+    # the depot's point mass. Taking the chosen entries before the entropies
+    # fixes the order in which each log-probability's gradients add up.
+    actions, rows = np.stack(record, axis=1), np.stack(rows)        # (B, T), (T, B)
+    stacked = ad.concat(logps + [np.zeros((1, state.visited.shape[1] + 1))], axis=0)
+    chosen = ad.take(stacked, (rows, np.maximum(actions, 0).T))
+    ent = ad.take(_entropy(stacked), (rows,))
     return BatchRollout(
         orders=state.orders,
-        actions=np.stack(record, axis=1),
+        actions=actions,
         rewards=state.collected.sum(axis=1),
-        logp_sum=logp_acc,
-        entropy_sum=ent_acc,
-        mean_step_entropy=ent_value_total / max(alive_steps, 1),
+        logp_sum=ad.tsum(chosen, axis=0),
+        entropy_sum=ad.tsum(ent, axis=0),
+        mean_step_entropy=sum(float(e.sum()) for e in ent.values) / max(int(np.count_nonzero(rows >= 0)), 1),
         binding=bind,
     )

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -461,4 +463,49 @@ def test_checkpoint_truncated(tmp_path):
     save_checkpoint(path, {"w": np.ones(8)})
     path.write_bytes(path.read_bytes()[:-12])
     with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+def _block(name: bytes, values: np.ndarray) -> bytes:
+    """One checkpoint block, written by hand."""
+    return (struct.pack("<I", len(name)) + name + struct.pack("<I", values.ndim)
+            + b"".join(struct.pack("<Q", e) for e in values.shape) + values.astype("<f8").tobytes())
+
+
+@pytest.mark.parametrize("extents", [(2 ** 40,), (2 ** 32, 2 ** 32)])
+def test_checkpoint_extent_past_the_end_of_the_file(tmp_path, extents):
+    """An extent is checked against the bytes left before it sizes a read:
+    2**40 doubles would ask for 8 TiB, and 2**64 doubles wrap a numpy product."""
+    path = tmp_path / "huge.ckpt"
+    save_checkpoint(path, {"w": np.ones(2)})
+    raw = path.read_bytes()
+    rank_at = 6 + 4 + 4 + 4 + 1                 # magic, version, count, name length, "w"
+    shape = struct.pack("<I", len(extents)) + b"".join(struct.pack("<Q", e) for e in extents)
+    path.write_bytes(raw[:rank_at] + shape + raw[rank_at + 4 + 8:])
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_name_that_is_not_utf8(tmp_path):
+    path = tmp_path / "name.ckpt"
+    save_checkpoint(path, {"w": np.ones(2)})
+    raw = bytearray(path.read_bytes())
+    raw[18:19] = b"\xff"                        # the name "w"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("lr", [None, np.array([1e-4, 5.0])])
+def test_checkpoint_optimizer_state_without_its_scalars(tmp_path, lr):
+    """Optimizer moments with no learning rate, or one of two entries."""
+    path = tmp_path / "adam.ckpt"
+    save_checkpoint(path, {"w": np.ones(2)})
+    blocks = [_block(b"m:w", np.zeros(2)), _block(b"v:w", np.zeros(2))]
+    if lr is not None:
+        blocks += [_block(name, np.array(value)) for name, value in
+                   ((b"lr", lr), (b"beta1", 0.9), (b"beta2", 0.999), (b"eps", 1e-8), (b"step", 1.0))]
+    raw = path.read_bytes()[:-4]                # drop the zero optimizer count
+    path.write_bytes(raw + struct.pack("<I", len(blocks)) + b"".join(blocks))
+    with pytest.raises(CheckpointError, match="optimizer state"):
         load_checkpoint(path)

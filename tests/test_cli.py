@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from mstoplab.checkpoint import load_checkpoint, save_checkpoint
 from mstoplab.cli import main
 from mstoplab.instances import load_dataset
 
@@ -312,6 +314,32 @@ def test_eval_rejects_a_file_of_the_wrong_kind(tmp_path, dataset_dir, trained_di
     else:
         checkpoint = dataset_dir / "dataset.jsonl"
     code = run_cli(["eval", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+                    "--d", "16", "--heads", "2", "--ff-dim", "32", "--enc-layers", "1",
+                    "--out", str(tmp_path / "bad")])
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("case", ["extent", "adam"])
+def test_eval_rejects_a_malformed_checkpoint(tmp_path, dataset_dir, trained_dir, capsys, case):
+    """A checkpoint whose first extent runs past the end of the file, or
+    whose optimizer state lacks its scalars, is a usage error, and nothing
+    is written."""
+    raw = (trained_dir / "best.ckpt").read_bytes()
+    if case == "extent":
+        (name_len,) = struct.unpack("<I", raw[14:18])
+        at = 18 + name_len + 4                  # the first block's first extent
+        raw = raw[:at] + struct.pack("<Q", 2 ** 40) + raw[at + 8:]
+    else:
+        params, _ = load_checkpoint(trained_dir / "best.ckpt")
+        save_checkpoint(tmp_path / "plain.ckpt", params)
+        moment = np.zeros(1).tobytes()
+        raw = ((tmp_path / "plain.ckpt").read_bytes()[:-4] + struct.pack("<I", 1)
+               + struct.pack("<I", 3) + b"m:w" + struct.pack("<IQ", 1, 1) + moment)
+    checkpoint = tmp_path / "bad.ckpt"
+    checkpoint.write_bytes(raw)
+    code = run_cli(["eval", "--dataset", str(dataset_dir / "dataset.jsonl"), "--checkpoint", str(checkpoint),
                     "--d", "16", "--heads", "2", "--ff-dim", "32", "--enc-layers", "1",
                     "--out", str(tmp_path / "bad")])
     assert code == 1

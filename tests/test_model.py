@@ -624,6 +624,19 @@ def instance_aug_advantages(rewards):
     return (per_instance - per_instance.mean(axis=1, keepdims=True)).reshape(-1)
 
 
+def instance_aug_batch(gen_cfg, seed):
+    """Eight raw instances, each under its eight symmetries and one vehicle
+    order drawn with ``seed``: the 64 rows of an instance-aug training step."""
+    raw = [generate(dataclasses.replace(gen_cfg, seed=gen_cfg.seed * 100 + i)) for i in range(8)]
+    order_rng = np.random.default_rng(seed)
+    instances, orders = [], []
+    for inst in raw:
+        order = tuple(int(v) for v in order_rng.permutation(inst.k))
+        instances += augment(inst)
+        orders += [order] * N_SYMMETRIES
+    return instances, orders
+
+
 @pytest.mark.parametrize("gen_cfg, seed", [
     (GenConfig.preset("mstop20", seed=60), 0),
     (GenConfig.preset("mstop20", seed=60), 5),
@@ -634,13 +647,7 @@ def test_taped_decoder_dropping_finished_rows_matches_keeping_them(gen_cfg, seed
     """64-row instance-aug training rollouts: eight raw instances, each under
     its eight symmetries and one vehicle order."""
     params = DdtmParameters.init(CFG, seed=seed)
-    raw = [generate(dataclasses.replace(gen_cfg, seed=gen_cfg.seed * 100 + i)) for i in range(8)]
-    order_rng = np.random.default_rng(seed)
-    instances, orders = [], []
-    for inst in raw:
-        order = tuple(int(v) for v in order_rng.permutation(inst.k))
-        instances += augment(inst)
-        orders += [order] * N_SYMMETRIES
+    instances, orders = instance_aug_batch(gen_cfg, seed)
 
     def run(p, tape, rng):
         return mdl.rollout_states(instances, orders, p, CFG, rng=rng, tape=tape, bn_training=True)
@@ -665,6 +672,107 @@ def test_taped_replay_dropping_finished_rows_matches_keeping_them():
 
     fast_rows, slow_rows = assert_rows_leaving_match_every_row(run, params, instance_aug_advantages)
     assert sum(fast_rows) < sum(slow_rows)
+
+
+def per_step_sums(steps, actions):
+    """Reference for the rollout's one gather: its former accumulation on the
+    same tape. Each step pads its log-probabilities with a depot point mass
+    for the rows that left (group -1), takes each state row's chosen entry
+    and entropy and adds them on; the mean step entropy divides the summed
+    step entropies by the number of acting rows."""
+    logp_sum = entropy_sum = None
+    total, acting = 0.0, 0
+    for (logp, group), col in zip(steps, actions.T):
+        padded = ad.concat([logp, np.zeros((1, logp.shape[1]))], axis=0)
+        chosen = ad.take(padded, (group, np.maximum(col, 0)))
+        ent = ad.take(mdl._entropy(padded), (group,))
+        logp_sum = chosen if logp_sum is None else ad.add(logp_sum, chosen)
+        entropy_sum = ent if entropy_sum is None else ad.add(entropy_sum, ent)
+        total += float(ent.values.sum())
+        acting += int(np.count_nonzero(col >= 0))
+    return logp_sum, entropy_sum, total / max(acting, 1)
+
+
+def gather_against_per_step_sums(instances, orders, params, seed, tape):
+    """One rollout, with each decode step's log-probabilities and groups
+    captured and its ``exp`` ops counted; returns it and the reference sums
+    rebuilt from those steps."""
+    steps, exps = [], []
+    real_step, real_exp = RouteDecoder.step, ad.OP_KINDS["exp"]
+
+    def step(dec, fuels, mask):
+        logp = real_step(dec, fuels, mask)
+        steps.append((logp, dec.group.copy()))
+        return logp
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RouteDecoder, "step", step)
+        mp.setitem(ad.OP_KINDS, "exp", lambda *args: exps.append(1) or real_exp(*args))
+        roll = mdl.rollout_states(instances, orders, params, CFG, rng=np.random.default_rng(seed),
+                                  tape=tape, bn_training=tape is not None)
+    assert len(exps) == 1 and len(steps) == roll.actions.shape[1] > 2
+    return roll, per_step_sums(steps, roll.actions)
+
+
+def assert_same_loss_and_gradients(roll, reference, tape):
+    """The surrogate loss of the gathered sums and of the reference sums, and
+    every gradient of the two, byte for byte."""
+    advantages = roll.rewards - roll.rewards.mean()
+    replaced = dataclasses.replace(roll, logp_sum=reference[0], entropy_sum=reference[1])
+    losses = [surrogate_loss(r, advantages, alpha=0.01) for r in (roll, replaced)]
+    assert losses[0].values.tobytes() == losses[1].values.tobytes()
+    new, old = (roll.binding.gradients(tape.backward(loss)) for loss in losses)
+    assert set(new) == set(old) == set(roll.binding.params.trainable())
+    for name in old:
+        assert new[name].tobytes() == old[name].tobytes(), name
+
+
+@pytest.mark.parametrize("case", ["instance-aug", "sampled-taped", "sampled-untaped"])
+def test_one_gather_matches_per_step_sums(case):
+    """The sums a rollout gathers once, after its last step, against the
+    per-step accumulation they replace: byte-equal sums, mean step entropy,
+    loss and gradients, from one ``exp`` op whatever the step count. The
+    instance-aug case is a 64-row mstop20 training step; the sampled cases
+    are 48 rows of one mstop20 instance, whose rows leave the decoder at
+    different steps (and share decoded rows when untaped)."""
+    params = DdtmParameters.init(CFG, seed=3)
+    tape = None if case == "sampled-untaped" else Tape()
+    if case == "instance-aug":
+        instances, orders = instance_aug_batch(GenConfig.preset("mstop20", seed=63), 0)
+    else:
+        instances, orders = [generate(GenConfig.preset("mstop20", seed=64))] * 48, [(0, 1)] * 48
+    roll, (logp_sum, entropy_sum, mean_step_entropy) = gather_against_per_step_sums(
+        instances, orders, params, 12, tape)
+    if case != "instance-aug":
+        assert len(np.unique((roll.actions >= 0).sum(axis=1))) > 1
+    assert roll.logp_sum.values.tobytes() == logp_sum.values.tobytes()
+    assert roll.entropy_sum.values.tobytes() == entropy_sum.values.tobytes()
+    assert roll.mean_step_entropy == mean_step_entropy and type(roll.mean_step_entropy) is float
+    if tape is not None:
+        assert_same_loss_and_gradients(roll, (logp_sum, entropy_sum), tape)
+
+
+def test_one_gather_sums_a_row_of_point_masses_to_positive_zero():
+    """The one place where the gather and the per-step sums differ: a row
+    whose every step is a point mass at the depot (here a vehicle that can
+    reach no customer) has steps of entropy -0.0. The per-step sums added
+    them up to -0.0; the gathered sum over steps starts from 0.0 and gives
+    0.0. Everything else, the loss and every gradient stay byte-equal."""
+    stuck = Instance(depot=(0.5, 0.5), customers=((0.9, 0.9, 1.0), (0.1, 0.9, 1.0)),
+                     vehicles=((0.5, 0.6, 0.15), (0.4, 0.5, 0.15)), t_max=0.15)
+    free = generous_instance(n=2, k=2)
+    params = DdtmParameters.init(CFG, seed=3)
+    tape = Tape()
+    roll, reference = gather_against_per_step_sums([stuck, free] * 4, [(0, 1), (1, 0)] * 4, params, 5, tape)
+    stuck_rows = np.arange(8) % 2 == 0
+    assert (roll.actions[stuck_rows] <= 0).all() and (roll.actions[~stuck_rows] > 0).any()
+    new, old = roll.entropy_sum.values, reference[1].values
+    np.testing.assert_array_equal(new, old)
+    np.testing.assert_array_equal(np.signbit(old), stuck_rows)
+    assert not np.signbit(new).any()
+    assert roll.logp_sum.values.tobytes() == reference[0].values.tobytes()
+    assert roll.mean_step_entropy == reference[2]
+    assert_same_loss_and_gradients(roll, reference, tape)
 
 
 def test_gradient_reaches_every_parameter(params):
