@@ -71,7 +71,9 @@ def constant(values) -> Tensor:
 
 
 class Gradients:
-    """Gradient lookup returned by :meth:`Tape.backward`."""
+    """Gradient lookup returned by :meth:`Tape.backward`. It holds the
+    gradients of the loss and of the tape's leaves only: backward drops an
+    intermediate node's gradient once it has passed it on."""
 
     def __init__(self, tape, grads):
         self._tape = tape
@@ -81,9 +83,12 @@ class Gradients:
         if tensor.node_id is None or tensor.tape is not self._tape:
             raise DetachedNodeError("tensor is not a node of the differentiated tape")
         g = self._grads.get(tensor.node_id)
-        if g is None:
-            return np.zeros_like(tensor.values)
-        return g
+        if g is not None:
+            return g
+        if tensor.node_id not in self._tape._leaves:
+            raise AutodiffError(f"node {tensor.node_id} is an intermediate node; backward keeps "
+                                "the gradients of the loss and the leaves only")
+        return np.zeros_like(tensor.values)
 
 
 class Tape:
@@ -93,6 +98,7 @@ class Tape:
 
     def __init__(self):
         self._records = []  # (out_id, input_ids, backward_fn)
+        self._leaves = set()
         self._next_id = 0
 
     def _new_id(self):
@@ -102,17 +108,23 @@ class Tape:
 
     def leaf(self, values) -> Tensor:
         """Register a differentiable leaf (e.g. a trainable parameter)."""
-        return Tensor(np.asarray(values, dtype=np.float64), tape=self, node_id=self._new_id())
+        leaf = Tensor(np.asarray(values, dtype=np.float64), tape=self, node_id=self._new_id())
+        self._leaves.add(leaf.node_id)
+        return leaf
 
     def backward(self, loss: Tensor) -> Gradients:
-        """Reverse pass from a scalar loss; returns gradients by node."""
+        """Reverse pass from a scalar loss; returns the gradients of the loss
+        and the leaves. The records stay, so one tape can be differentiated
+        again from another loss."""
         if loss.tape is not self or loss.node_id is None:
             raise DetachedNodeError("loss is not recorded on this tape")
         if loss.values.size != 1:
             raise ShapeMismatchError("backward", f"loss must be scalar, got shape {loss.values.shape}")
-        grads = {loss.node_id: np.ones_like(loss.values)}
+        seed = np.ones_like(loss.values)
+        grads = {loss.node_id: seed}
         for out_id, input_ids, backward_fn in reversed(self._records):
-            g = grads.get(out_id)
+            # a gradient is dropped once passed on, so its memory serves the next ones
+            g = grads.pop(out_id, None)
             if g is None:
                 continue
             for node_id, gin in zip(input_ids, backward_fn(g)):
@@ -120,6 +132,7 @@ class Tape:
                     continue
                 acc = grads.get(node_id)
                 grads[node_id] = gin if acc is None else acc + gin
+        grads[loss.node_id] = seed
         return Gradients(self, grads)
 
     def __len__(self):
@@ -179,10 +192,11 @@ def _op_matmul(vals, attrs, needs):
 def _op_add(vals, attrs, needs):
     a, b = vals
     out = a + b
+    shape_a, shape_b = a.shape, b.shape     # the backward keeps no operand
 
     def backward(g):
-        return (_unbroadcast(g, a.shape) if needs[0] else None,
-                _unbroadcast(g, b.shape) if needs[1] else None)
+        return (_unbroadcast(g, shape_a) if needs[0] else None,
+                _unbroadcast(g, shape_b) if needs[1] else None)
 
     return out, backward
 
@@ -209,9 +223,19 @@ def _op_concat(vals, attrs, needs):
     return out, backward
 
 
+def _row_max(z):
+    """``np.max(z, axis=-1, keepdims=True)``, taken as an elementwise maximum
+    down the columns of the transposed rows: a short last axis reduces row by
+    row, which is slower. A max is exact in any order; only a row whose
+    largest entries are a tie of 0.0 and -0.0 may get the other zero, which
+    the softmaxes below turn into the same output."""
+    rk = z.shape[-1]
+    return np.ascontiguousarray(z.reshape(-1, rk).T).max(axis=0).reshape(z.shape[:-1] + (1,))
+
+
 def _softmax_raw(z):
     """Softmax over the last axis, computed in place in ``z``."""
-    m = np.max(z, axis=-1, keepdims=True)
+    m = _row_max(z)
     if np.isneginf(m).any():
         raise NonFiniteError("attention: a row is fully masked to -inf")
     z -= m
@@ -287,7 +311,7 @@ def _op_attention(vals, attrs, needs):
 def _op_log_softmax(vals, attrs, needs):
     (x,) = vals
     z = x + np.asarray(attrs["mask"], dtype=np.float64)
-    m = np.max(z, axis=-1, keepdims=True)
+    m = _row_max(z)
     if np.isneginf(m).any():
         raise NonFiniteError("log_softmax: a row is fully masked to -inf")
     shifted = z - m
@@ -304,7 +328,9 @@ def _op_log_softmax(vals, attrs, needs):
 def _op_relu(vals, attrs, needs):
     (x,) = vals
     out = np.maximum(x, 0.0)
-    return out, lambda g: (g * (x > 0.0),)
+    # out > 0 exactly where x > 0 (NaN and -0.0 compare false in both), and
+    # masking by the output lets the tape free the pre-activation
+    return out, lambda g: (g * (out > 0.0),)
 
 
 def _op_tanh(vals, attrs, needs):
@@ -322,8 +348,9 @@ def _op_exp(vals, attrs, needs):
 def _op_sum(vals, attrs, needs):
     (x,) = vals
     axis = attrs.get("axis")
+    shape = x.shape
     return x.sum(axis=axis), lambda g: (
-        np.broadcast_to(g if axis is None else np.expand_dims(g, axis), x.shape).copy(),)
+        np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape).copy(),)
 
 
 def _op_batchnorm(vals, attrs, needs):

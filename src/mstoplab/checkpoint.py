@@ -43,9 +43,13 @@ def _write_block(fh, name: str, arr: np.ndarray):
     fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _bytes_left(fh):
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def _read_exact(fh, n):
     # a length read from the file is checked before it sizes a read
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    left = _bytes_left(fh)
     if n > left:
         raise CheckpointError(f"truncated checkpoint file: {n} bytes expected, {left} left")
     return fh.read(n)
@@ -63,6 +67,16 @@ def _read_block(fh):
     payload = _read_exact(fh, math.prod(shape) * 8)
     arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
     return name, arr
+
+
+def _read_blocks(fh, count):
+    blocks = {}
+    for _ in range(count):
+        name, arr = _read_block(fh)
+        if name in blocks:
+            raise CheckpointError(f"array {name!r} is stored twice")
+        blocks[name] = arr
+    return blocks
 
 
 def _write_checkpoint(fh, params: dict, adam: AdamState | None):
@@ -120,24 +134,24 @@ def load_checkpoint(path):
         if version != FORMAT_VERSION:
             raise CheckpointError(f"unsupported checkpoint format version {version}, expected {FORMAT_VERSION}")
         (n_params,) = struct.unpack("<I", _read_exact(fh, 4))
-        params = {}
-        for _ in range(n_params):
-            name, arr = _read_block(fh)
-            params[name] = arr
+        params = _read_blocks(fh, n_params)
         (n_adam,) = struct.unpack("<I", _read_exact(fh, 4))
-        if n_adam == 0:
-            return params, None
-        raw = dict(_read_block(fh) for _ in range(n_adam))
-        try:
-            adam = AdamState(
-                lr=float(raw["lr"]), beta1=float(raw["beta1"]), beta2=float(raw["beta2"]),
-                eps=float(raw["eps"]), step=int(raw["step"]),
-            )
-        except (KeyError, TypeError) as err:     # a scalar is missing or has more than one entry
-            raise CheckpointError(f"optimizer state without its scalars: {err}") from None
-        for name, arr in raw.items():
-            if name.startswith("m:"):
-                adam.m[name[2:]] = arr
-            elif name.startswith("v:"):
-                adam.v[name[2:]] = arr
-        return params, adam
+        raw = _read_blocks(fh, n_adam)
+        left = _bytes_left(fh)
+        if left:
+            raise CheckpointError(f"{left} bytes after the last block")
+    if not raw:
+        return params, None
+    try:
+        adam = AdamState(
+            lr=float(raw["lr"]), beta1=float(raw["beta1"]), beta2=float(raw["beta2"]),
+            eps=float(raw["eps"]), step=int(raw["step"]),
+        )
+    except (KeyError, TypeError) as err:     # a scalar is missing or has more than one entry
+        raise CheckpointError(f"optimizer state without its scalars: {err}") from None
+    for name, arr in raw.items():
+        if name.startswith("m:"):
+            adam.m[name[2:]] = arr
+        elif name.startswith("v:"):
+            adam.v[name[2:]] = arr
+    return params, adam

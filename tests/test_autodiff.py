@@ -144,6 +144,84 @@ def test_gradient_of_unused_leaf_is_zero():
     assert np.array_equal(grads.of(x), np.zeros(2))
 
 
+def test_gradients_keep_the_loss_and_the_leaves_only():
+    """Backward drops an intermediate node's gradient once it has passed it
+    on, so asking for it raises, naming the node, instead of reading zeros;
+    the loss and every leaf, used or not, are still answered."""
+    tape = ad.Tape()
+    x, unused = tape.leaf([1.0, 2.0]), tape.leaf([5.0])
+    hidden = ad.mul(x, x)
+    loss = ad.tsum(hidden)
+    grads = tape.backward(loss)
+    with pytest.raises(ad.AutodiffError, match=f"node {hidden.node_id} is an intermediate node"):
+        grads.of(hidden)
+    assert grads.of(loss) == 1.0
+    assert np.array_equal(grads.of(x), [2.0, 4.0])
+    assert np.array_equal(grads.of(unused), [0.0])
+
+
+def test_second_backward_on_one_tape_gives_the_same_bytes(rng):
+    tape = ad.Tape()
+    a, w = tape.leaf(rng.standard_normal((3, 4))), tape.leaf(rng.standard_normal((4, 2)))
+    h = ad.relu(ad.matmul(a, w))
+    loss = ad.tsum(ad.mul(ad.add(h, h), ad.constant(rng.standard_normal((3, 2)))))
+    first, second = tape.backward(loss), tape.backward(loss)
+    for leaf in (a, w):
+        assert first.of(leaf).tobytes() == second.of(leaf).tobytes()
+
+
+def test_relu_backward_masks_by_its_output_as_by_its_input(rng):
+    """``out > 0`` holds exactly where ``x > 0``: NaN and both zeros compare
+    false in either form, so the gradient bytes are the same."""
+    x = np.array([-2.0, -0.0, 0.0, 3.0, np.nan, -np.inf, np.inf, 1e-300, -1e-300])
+    g = rng.standard_normal((4, x.size))
+    g[0] = -0.0
+    g[1, ::2] = np.nan
+    out, backward = ad.OP_KINDS["relu"]([x], {}, (True,))
+    assert backward(g)[0].tobytes() == (g * (x > 0.0)).tobytes()
+
+
+def _rows_with_edge_cases(rng, shape):
+    """Normal rows, some entries at ``-inf``, a fully ``-inf`` row, rows
+    holding NaN, a row with ``inf`` and ties of equal values."""
+    z = rng.standard_normal(shape)
+    rows = z.reshape(-1, shape[-1])
+    rows[:, ::3] = -np.inf
+    rows[0] = -np.inf
+    rows[1, 1] = np.nan
+    rows[2] = np.nan
+    rows[3, -1] = np.inf
+    rows[4, :2] = 2.5
+    return z
+
+
+@pytest.mark.parametrize("shape", [(64, 4, 23, 23), (1280, 4, 1, 22), (64, 22), (64, 1, 1, 21), (9, 3)])
+def test_row_max_matches_np_max_bytes(rng, shape):
+    """The transposed row max against ``np.max`` on encoder scores (64 rows,
+    4 heads, 23 × 23), decoder cross-attention scores and logits."""
+    z = _rows_with_edge_cases(rng, shape)
+    assert ad._row_max(z).tobytes() == np.max(z, axis=-1, keepdims=True).tobytes()
+
+
+def test_row_max_zero_ties_give_the_same_softmaxes(rng, monkeypatch):
+    """A row whose largest entries are 0.0 and -0.0 may get the other zero
+    than ``np.max``; the softmax of ``attention`` and ``log_softmax`` give the
+    same bytes either way. The mask is -0.0 where it keeps an entry, so the
+    ties reach the row max; rows are 23 wide, as encoder scores at mstop20,
+    where numpy's own row max picks its zero differently from a short row's."""
+    z = -np.abs(rng.standard_normal((6, 23))) - 0.5
+    z[:, :2] = [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0], [-0.0, 0.0], [0.0, -0.0]]
+    mask = np.full(z.shape, -0.0)
+    mask[4:, 2:] = -np.inf
+
+    def outputs():
+        return [ad._softmax_raw(z + mask).tobytes(), ad.log_softmax(z, mask).values.tobytes()]
+
+    fast = outputs()
+    monkeypatch.setattr(ad, "_row_max", lambda x: np.max(x, axis=-1, keepdims=True))
+    assert fast == outputs()
+
+
 def test_detached_tensor_gradient_query_raises():
     tape = ad.Tape()
     y = tape.leaf([1.0])
@@ -508,4 +586,36 @@ def test_checkpoint_optimizer_state_without_its_scalars(tmp_path, lr):
     raw = path.read_bytes()[:-4]                # drop the zero optimizer count
     path.write_bytes(raw + struct.pack("<I", len(blocks)) + b"".join(blocks))
     with pytest.raises(CheckpointError, match="optimizer state"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_bytes_after_the_last_block(tmp_path):
+    path = tmp_path / "tail.ckpt"
+    adam = AdamState(step=1)
+    adam.ensure("w", (2,))
+    for state in (None, adam):
+        save_checkpoint(path, {"w": np.ones(2)}, state)
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(CheckpointError, match="4 bytes after the last block"):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("section", ["params", "optimizer"])
+def test_checkpoint_block_name_stored_twice(tmp_path, section):
+    """Two blocks of one name would load silently as the last of them."""
+    path = tmp_path / "twice.ckpt"
+    adam = AdamState(step=1)
+    adam.ensure("w", (2,))
+    save_checkpoint(path, {"w": np.ones(2)}, adam)
+    raw = path.read_bytes()
+    if section == "params":
+        (count,) = struct.unpack("<I", raw[10:14])
+        w = _block(b"w", np.zeros(2))
+        raw = raw[:10] + struct.pack("<I", count + 1) + w + raw[14:]
+    else:
+        at = 14 + len(_block(b"w", np.ones(2)))  # the optimizer count
+        (count,) = struct.unpack("<I", raw[at:at + 4])
+        raw = raw[:at] + struct.pack("<I", count + 1) + _block(b"lr", np.array(0.5)) + raw[at + 4:]
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointError, match="stored twice"):
         load_checkpoint(path)

@@ -656,9 +656,10 @@ def test_taped_decoder_dropping_finished_rows_matches_keeping_them(gen_cfg, seed
     assert slow_rows == [64] * len(slow_rows) and sum(fast_rows) < sum(slow_rows)
 
 
-def test_taped_replay_dropping_finished_rows_matches_keeping_them():
+def criterion3_replay():
     """Criterion 3's teacher-forced batch: two raw instances, each under its
-    eight symmetries and one vehicle order, d=16."""
+    eight symmetries and one vehicle order, d=16. Returns its parameters and
+    ``run(p, tape, rng)``, the taped replay of one sampled rollout."""
     cfg = DdtmConfig(d=16, heads=2, ff_dim=32, encoder_layers=1, decoder_layers=1)
     params = DdtmParameters.init(cfg, seed=0)
     instances = []
@@ -670,8 +671,54 @@ def test_taped_replay_dropping_finished_rows_matches_keeping_them():
     def run(p, tape, rng):
         return forced_rollout(instances, orders, p, cfg, actions, tape=tape, bn_training=True)
 
+    return params, run
+
+
+def test_taped_replay_dropping_finished_rows_matches_keeping_them():
+    params, run = criterion3_replay()
     fast_rows, slow_rows = assert_rows_leaving_match_every_row(run, params, instance_aug_advantages)
     assert sum(fast_rows) < sum(slow_rows)
+
+
+def keep_every_gradient(tape, loss):
+    """Reference reverse pass: the loop over the tape's records that keeps
+    every node's gradient until it returns."""
+    grads = {loss.node_id: np.ones_like(loss.values)}
+    for out_id, input_ids, backward_fn in reversed(tape._records):
+        g = grads.get(out_id)
+        if g is None:
+            continue
+        for node_id, gin in zip(input_ids, backward_fn(g)):
+            if node_id is None or gin is None:
+                continue
+            acc = grads.get(node_id)
+            grads[node_id] = gin if acc is None else acc + gin
+    return ad.Gradients(tape, grads)
+
+
+@pytest.mark.parametrize("case", ["instance-aug", "teacher-forced"])
+def test_backward_dropping_gradients_matches_keeping_them(case):
+    """``Tape.backward`` drops each intermediate gradient once passed on;
+    every parameter gradient is byte-equal to the reference that keeps them
+    all, on a 64-row instance-aug mstop20 rollout and on criterion 3's
+    teacher-forced batch, and so is a second backward on the same tape."""
+    if case == "instance-aug":
+        params = DdtmParameters.init(CFG, seed=0)
+        instances, orders = instance_aug_batch(GenConfig.preset("mstop20", seed=60), 0)
+
+        def run(p, tape, rng):
+            return mdl.rollout_states(instances, orders, p, CFG, rng=rng, tape=tape, bn_training=True)
+    else:
+        params, run = criterion3_replay()
+    tape = Tape()
+    roll = run(params.copy(), tape, np.random.default_rng(100))
+    loss = surrogate_loss(roll, instance_aug_advantages(roll.rewards), alpha=0.01)
+    reference = roll.binding.gradients(keep_every_gradient(tape, loss))
+    assert set(reference) == set(params.trainable())
+    for _ in range(2):
+        grads = roll.binding.gradients(tape.backward(loss))
+        for name, g in reference.items():
+            assert grads[name].tobytes() == g.tobytes(), name
 
 
 def per_step_sums(steps, actions):
