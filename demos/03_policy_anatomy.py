@@ -19,7 +19,7 @@ emb = mdl.encode_states(state, params, cfg)
 print(f"encoder rows: {emb.rows.shape}  (depot + {inst.n} customers + {inst.k} vehicles, width {cfg.d})")
 print(f"graph embedding: {emb.graph.shape}  (mean of the unmasked rows)")
 
-dec = mdl.RouteDecoder(emb, params, cfg, state.active_vehicle)
+dec = mdl.RouteDecoder(emb, params, cfg, state.orders[:, 0])   # each row's first vehicle
 print("\ndecoding vehicle 0's route with an untrained network:")
 while True:
     feas = env.feasible_mask(state)
@@ -28,7 +28,7 @@ while True:
     action = int(np.argmax(probs))
     line = "  ".join(f"{p:.3f}" if f else "  -  " for p, f in zip(probs, feas))
     print(f"  t_dec={dec.t_dec}  P(depot, customers...) = [{line}] -> action {action}")
-    vehicle = state.active_vehicle[0]
+    vehicle = state.orders[0, state.active_slot[0]]
     state = env.step(state, action)
     dec.advance(np.array([action]))
     if action == 0:

@@ -101,12 +101,6 @@ class State:
         return self.active_slot >= self.orders.shape[1]
 
     @property
-    def active_vehicle(self) -> np.ndarray:
-        if self.terminal.any():
-            raise EnvError("terminal state has no active vehicle")
-        return self.orders[np.arange(len(self)), self.active_slot]
-
-    @property
     def positions(self) -> np.ndarray:
         """(B, K, 2) vehicle locations."""
         return self.batch.take(Instance.node_xy, np.arange(len(self))[:, None], self.at)

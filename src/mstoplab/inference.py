@@ -1,13 +1,17 @@
 """Decoding strategies: greedy, sampling, and vehicle-order / instance
 augmentation with best-of selection.
 
-The trajectory sets nest: greedy (identity order) is one of the vehicle-order
-permutations, and each permutation is the identity-symmetry member of its
-eight augmented variants. Best-of rewards are therefore monotone across
-greedy -> perm -> perm-aug, deterministically. Augmented decoding runs the
-model on the transformed coordinates, then replays the chosen actions on the
-original instance, so the returned solution is always verified against the
-untransformed geometry.
+Every strategy decodes one grid greedily: vehicle orders x symmetric copies,
+order-major. Greedy is the identity order on the instance itself; perm takes
+all K! orders; perm-aug also takes the eight symmetric copies of the
+instance, the identity first, decodes on their transformed coordinates and
+scores each row by replaying its actions on the original instance, so the
+returned solution is always verified against the untransformed geometry. Sampling appends its sampled rows after
+the grid's one greedy row.
+
+So greedy is entry 0 of every census and perm's census is every eighth entry
+of perm-aug's: the trajectory sets nest, and best-of rewards are monotone
+across greedy -> perm -> perm-aug, deterministically.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ class InferConfig:
 
 @dataclass
 class TrajectoryCensus:
-    strategy: str
     rewards: np.ndarray              # reward of every trajectory, in evaluation order
 
     @property
@@ -58,40 +61,30 @@ def infer(inst: Instance, params: DdtmParameters, cfg: DdtmConfig,
     """Best solution under the chosen strategy, plus a census of all
     trajectories evaluated. Every returned solution is verified."""
     infer_cfg.validate()
-    identity = tuple(range(inst.k))
-    perms = list(itertools.permutations(range(inst.k)))
-
-    # rewards in evaluation order, and the trajectory of entry i
-    if infer_cfg.strategy == "greedy":
-        roll = mdl.rollout_states([inst], [identity], params, cfg)
-        rewards, trajectory = roll.rewards, roll.trajectory
-
-    elif infer_cfg.strategy == "sampling":
-        # the greedy trajectory comes first, so sampling never falls below greedy
-        width = infer_cfg.sample_width
-        roll = mdl.rollout_states([inst] * width, [identity] * width, params, cfg,
-                                  rng=np.random.default_rng(infer_cfg.seed))
-        greedy = mdl.rollout_states([inst], [identity], params, cfg)
-        rewards = np.concatenate([greedy.rewards, roll.rewards])
-        trajectory = lambda i: greedy.trajectory(0) if i == 0 else roll.trajectory(i - 1)
-
-    elif infer_cfg.strategy == "perm":
-        roll = mdl.rollout_states([inst] * len(perms), perms, params, cfg)
-        rewards, trajectory = roll.rewards, roll.trajectory
-
-    else:  # perm-aug
-        symmetric = [apply_symmetry(inst, s) for s in range(N_SYMMETRIES)]
-        variants = [(p, s) for p in perms for s in range(N_SYMMETRIES)]
-        orders = [p for p, _ in variants]
-        roll = mdl.rollout_states([symmetric[s] for _, s in variants], orders, params, cfg)
+    strategy = infer_cfg.strategy
+    orders = (list(itertools.permutations(range(inst.k))) if strategy in ("perm", "perm-aug")
+              else [tuple(range(inst.k))])
+    copies = ([apply_symmetry(inst, s) for s in range(N_SYMMETRIES)] if strategy == "perm-aug"
+              else [inst])
+    grid = [p for p in orders for _ in copies]          # order-major: row i is copy i % len(copies)
+    roll = mdl.rollout_states(copies * len(orders), grid, params, cfg)
+    if len(copies) > 1:
         # decode ran on transformed coordinates; score on the original
-        replayed = env.replay([inst] * len(variants), orders, roll.actions)
+        replayed = env.replay([inst] * len(grid), grid, roll.actions)
         rewards, trajectory = np.array([t.reward for t in replayed]), replayed.__getitem__
+    else:
+        rewards, trajectory = roll.rewards, roll.trajectory
+
+    if strategy == "sampling":
+        width = infer_cfg.sample_width
+        sampled = mdl.rollout_states([inst] * width, grid * width, params, cfg,
+                                     rng=np.random.default_rng(infer_cfg.seed))
+        rewards = np.concatenate([rewards, sampled.rewards])
+        trajectory = lambda i: roll.trajectory(i) if i < len(grid) else sampled.trajectory(i - len(grid))
 
     best = trajectory(int(np.argmax(rewards)))   # first best: ties keep the earlier entry
-    census = TrajectoryCensus(strategy=infer_cfg.strategy, rewards=rewards)
     solution = Solution(routes=best.routes, objective=best.reward, optimal=False)
     report = verify(inst, solution)
     if not report.ok:
         raise InferenceError(f"inference produced an invalid solution: {report.first_violation}")
-    return solution, census
+    return solution, TrajectoryCensus(rewards=rewards)

@@ -169,6 +169,13 @@ def reinforce_step(raw_instances, orders, params: DdtmParameters, adam: AdamStat
             f"non-finite loss (mean reward {rewards.mean():.6f}, mean baseline {baselines.mean():.6f})")
     grads = roll.binding.gradients(tape.backward(loss))
     norm = clip_by_global_norm(grads, cfg.clip_norm)
+    if not np.isfinite(norm):
+        # before Adam writes NaN everywhere; a non-finite weight can keep its own
+        # gradient finite and poison others, so name the weights too
+        bad = sorted(name for name, g in grads.items() if not np.isfinite(g).all())
+        poisoned = sorted(name for name in params.keys() if not np.isfinite(params[name]).all())
+        raise TrainingError(f"non-finite gradient norm {norm}: {len(bad)} of {len(grads)} gradients "
+                            f"non-finite (first {bad[:1]}), non-finite parameters {poisoned}")
     adam_step(params.trainable(), grads, adam)
     return StepDiagnostics(
         mean_reward=float(rewards.mean()),

@@ -95,6 +95,11 @@ def generous_instance(n=5, k=2) -> Instance:
                     t_max=10.0)
 
 
+def active_vehicles(state) -> np.ndarray:
+    """(B,) vehicle each row routes now, from its order and active slot."""
+    return state.orders[np.arange(len(state)), state.active_slot]
+
+
 def rollout_one(inst, order, params, cfg, seed=None):
     """Untaped rollout of one instance under one vehicle order, sampled with
     ``seed`` when one is given and greedy otherwise; returns its trajectory."""

@@ -11,7 +11,7 @@ from mstoplab.env import (EPS, EnvError, InfeasibleActionError, feasible_mask, r
 from mstoplab.instances import GenConfig, Instance, augment, euclidean, generate
 from mstoplab.model import DdtmConfig, DdtmParameters
 
-from conftest import generous_instance, tiny_instance
+from conftest import active_vehicles, generous_instance, tiny_instance
 
 
 def line_instance():
@@ -41,13 +41,13 @@ def random_episode(inst, order, rng):
 def test_reset_identity_order_activates_first_vehicle():
     inst = tiny_instance(seed=1)
     st = reset(inst, (0, 1))
-    assert st.active_vehicle[0] == 0 and st.active_slot[0] == 0 and len(st) == 1
+    assert active_vehicles(st)[0] == 0 and st.active_slot[0] == 0 and len(st) == 1
     assert np.array_equal(st.residual_prizes[0], inst.prizes())
 
 
 def test_reset_reversed_order_activates_second_vehicle():
     st = reset(tiny_instance(seed=1), (1, 0))
-    assert st.active_vehicle[0] == 1
+    assert active_vehicles(st)[0] == 1
 
 
 def test_reset_is_deterministic():
@@ -138,7 +138,7 @@ def test_step_prize_bookkeeping():
 def test_step_depot_hands_over_and_terminates():
     st = reset(generous_instance(n=2, k=2), (0, 1))
     st = step(st, 0)
-    assert st.done[0, 0] and st.active_vehicle[0] == 1 and not st.terminal[0]
+    assert st.done[0, 0] and active_vehicles(st)[0] == 1 and not st.terminal[0]
     st = step(st, 0)
     assert st.terminal[0] and st.done[0].all()
 

@@ -78,11 +78,22 @@ def test_sampling_with_greedy_union_dominates_greedy(params):
 
 
 def test_dominance_chain_random_params(params):
-    for seed in range(20):
-        inst = generate(GenConfig(n=6, k=2, t_max=1.5, prize_mode="uniform", seed=200 + seed))
-        g, p, a = (infer(inst, params, CFG, InferConfig(strategy=s))[0].objective
-                   for s in ("greedy", "perm", "perm-aug"))
+    """Best-of rewards are monotone greedy -> perm -> perm-aug, and the
+    trajectory sets nest index by index: greedy is entry 0 of every census,
+    sampling's included, and perm's census is every eighth entry of perm-aug's."""
+    insts = ([generate(GenConfig(n=6, k=2, t_max=1.5, prize_mode="uniform", seed=200 + seed))
+              for seed in range(20)]
+             + [generate(GenConfig.preset(preset, prize_mode="uniform", seed=400 + seed))
+                for preset in ("mstop10", "mstop20") for seed in range(5)])
+    for seed, inst in enumerate(insts):
+        runs = {s: infer(inst, params, CFG, InferConfig(strategy=s, sample_width=8, seed=seed))
+                for s in ("greedy", "perm", "perm-aug", "sampling")}
+        g, p, a = (runs[s][0].objective for s in ("greedy", "perm", "perm-aug"))
         assert a >= p >= g
+        greedy, perm, perm_aug, sampling = (sol_census[1].rewards for sol_census in runs.values())
+        assert greedy.shape == (1,)
+        assert {c[0].tobytes() for c in (perm, perm_aug, sampling)} == {greedy.tobytes()}
+        assert perm.tobytes() == perm_aug[::8].tobytes()
 
 
 def test_rewards_bounded_by_exact_oracle(params):

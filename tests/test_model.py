@@ -15,7 +15,8 @@ from mstoplab.model import (LOGIT_CLAMP, DdtmConfig, DdtmParameters, RouteDecode
 from mstoplab.oracle import solve_exact
 from mstoplab.training import surrogate_loss
 
-from conftest import forced_rollout, generous_instance, rollout_one, tiny_instance
+from conftest import (active_vehicles, forced_rollout, generous_instance, rollout_one,
+                      tiny_instance)
 
 CFG = DdtmConfig()
 
@@ -29,7 +30,7 @@ def first_step_probs(state, params):
     """Action probabilities of the first decode step of a one-row state's
     active route, from the encoder and decoder the rollouts use."""
     emb = encode_states(state, params, CFG)
-    dec = RouteDecoder(emb, params, CFG, state.active_vehicle)
+    dec = RouteDecoder(emb, params, CFG, active_vehicles(state))
     mask = np.where(env.feasible_mask(state), 0.0, NEG_INF)
     return np.exp(dec.step(state.fuel, mask.reshape(1, -1)).values[0])
 
@@ -368,7 +369,7 @@ def expected_groups(instances, orders, actions):
     open_rows = np.zeros(len(state), dtype=bool)
     for col in actions.T:
         if not open_rows.any():      # a vehicle slot starts: every row routes its next vehicle
-            key = [(row, int(v)) for row, v in zip(row_keys(state), state.active_vehicle)]
+            key = [(row, int(v)) for row, v in zip(row_keys(state), active_vehicles(state))]
             open_rows = np.ones(len(state), dtype=bool)
         counts.append(len({key[i] for i in np.flatnonzero(open_rows)}))
         state = env.step(state, col, col >= 0)
@@ -456,7 +457,7 @@ def test_taped_encoder_and_decoder_step_op_kinds(params, monkeypatch):
              "batchnorm"]
     assert issued == ["matmul", "matmul", "matmul", "concat"] + layer * CFG.encoder_layers + ["matmul"]
 
-    dec = RouteDecoder(emb, bind, CFG, state.active_vehicle)
+    dec = RouteDecoder(emb, bind, CFG, active_vehicles(state))
     mask = np.where(env.feasible_mask(state), 0.0, NEG_INF)
     head = ["concat", "matmul", "add"]
     tail = ["add", "matmul", "matmul", "mul", "tanh", "mul", "reshape", "log_softmax"]

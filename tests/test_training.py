@@ -216,6 +216,21 @@ def test_non_finite_rollout_row_maps_to_its_raw_instance(monkeypatch):
         run_step(cfg, params, adam)
 
 
+def test_non_finite_gradient_stops_before_adam():
+    """An infinite weight that the rollout's tanh clamp absorbs leaves the
+    loss finite but the gradient norm NaN. The step must fail naming the
+    gradients and the poisoned weight, leaving parameters and Adam untouched."""
+    cfg, params, adam = fresh_setup()
+    params.arrays["final_wk"][0, 0] = np.inf
+    before = {name: arr.tobytes() for name, arr in params.trainable().items()}
+    with np.errstate(all="ignore"), pytest.raises(TrainingError, match="non-finite gradient norm") as err:
+        run_step(cfg, params, adam)
+    message = str(err.value)
+    assert "(first ['ctx_proj_w'])" in message and "non-finite parameters ['final_wk']" in message
+    assert {name: arr.tobytes() for name, arr in params.trainable().items()} == before
+    assert adam.step == 0 and adam.m == {} and adam.v == {}
+
+
 def test_every_op_kind_is_issued_by_the_package(monkeypatch):
     """A taped training step and an untaped inference under every strategy
     issue every op kind of the tape, so no kind exists for tests alone."""
