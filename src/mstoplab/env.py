@@ -96,6 +96,16 @@ class State:
     def __len__(self) -> int:
         return self.active_slot.shape[0]
 
+    def take(self, rows) -> "State":
+        """The rows ``rows`` (an index array, repeats allowed) as a new state
+        of the same batch. Only a batch of one instance in a list broadcasts
+        to any number of rows, so only its states give rows."""
+        if len(self.batch.instances) != 1 or self.batch.single:
+            raise EnvError("rows can be taken only from a state of one instance in a list")
+        return State(batch=self.batch, orders=self.orders[rows], visited=self.visited[rows],
+                     at=self.at[rows], fuels=self.fuels[rows], collected=self.collected[rows],
+                     active_slot=self.active_slot[rows], legs=self.legs[rows], fuel=self.fuel[rows])
+
     @property
     def terminal(self) -> np.ndarray:
         return self.active_slot >= self.orders.shape[1]

@@ -11,6 +11,13 @@ increases as the route grows; a completed search is therefore exact.
 
 ``brute_force_enum`` is an independent exhaustive oracle for tiny instances,
 used to cross-check the branch-and-bound in tests.
+
+``tsili_solve`` is the Tsiligirides stochastic heuristic (Tsiligirides 1984),
+the non-learned baseline: many samples build routes at once, and the best is
+kept. Samples that share a partial route share one environment row, so the
+environment and the candidate weights work once per distinct route; each
+sample still draws its own number, so the result is that of one row per
+sample.
 """
 
 from __future__ import annotations
@@ -258,25 +265,33 @@ def verify(inst: Instance, sol: Solution) -> FeasibilityReport:
 
 
 def tsili_solve(inst: Instance, params: TsiliParams = TsiliParams(), seed: int = 0) -> Solution:
-    """Stochastic constructive heuristic: many parallel rollouts, keep the best.
+    """Stochastic constructive heuristic: many parallel samples, keep the best.
 
-    Each rollout builds routes vehicle by vehicle (instance order). At every
+    Each sample builds routes vehicle by vehicle (instance order). At every
     step the vehicle looks at the feasible customers (visit plus return to
     depot within fuel), ranks them by desirability (prize / distance)^exponent,
     and samples among the top ``candidates`` proportionally to desirability,
     with the row sampler of the policy's rollouts (``env.sample_rows``).
     Deterministic for a given seed.
+
+    Samples that share a partial route share one environment row: ``group``
+    maps each sample to its row, and feasibility and the candidate weights
+    are worked out once per row. Each sample still draws its own number, so
+    the draws and the result are those of one row per sample. After each
+    step the rows are the distinct (row, action) pairs, and the state copies
+    rows only when some row's samples part ways.
     """
     params.validate()
     rng = np.random.default_rng(seed)
-    s = params.samples
-    c = min(params.candidates, inst.n)
+    s, n = params.samples, inst.n
+    c = min(params.candidates, n)
     prizes = inst.prizes()
-    state = env.reset([inst] * s, np.tile(np.arange(inst.k), (s, 1)))
-    record = []                              # (s,) actions per step, -1 = row idle
+    state = env.reset([inst], [np.arange(inst.k)])
+    group = np.zeros(s, dtype=np.intp)       # each sample's row
+    record = []                              # (s,) actions per step, -1 = sample idle
 
     for _ in range(inst.k):
-        open_rows = np.ones(s, dtype=bool)
+        open_rows = np.ones(len(state), dtype=bool)
         while open_rows.any():
             feas = env.feasible_mask(state, open_rows)[:, 1:]
             alive = feas.any(axis=1)
@@ -300,14 +315,24 @@ def tsili_solve(inst: Instance, params: TsiliParams = TsiliParams(), seed: int =
                     weights[huge] = np.take_along_axis(desir[huge], order[huge], axis=1)
                     totals[huge] = weights[huge].sum(axis=1, keepdims=True)
                 probs = np.divide(weights, totals, out=np.zeros_like(weights), where=totals > 0)
-                pick_pos = env.sample_rows(probs, np.arange(s), rng)
-                chosen = np.take_along_axis(order, pick_pos[:, None], axis=1)[:, 0]
-                actions = np.where(alive, chosen + 1, 0)
-            state = env.step(state, actions, open_rows)
-            record.append(np.where(open_rows, actions, -1))
-            open_rows &= actions != 0
+                pick_pos = env.sample_rows(probs, group, rng)
+                actions = np.where(alive[group], order[group, pick_pos] + 1, 0)
+            record.append(np.where(open_rows[group], actions, -1))
+            # the next rows are the distinct (row, action) pairs, in key order
+            keys = group * (n + 1) + actions
+            seen = np.zeros(len(state) * (n + 1), dtype=bool)
+            seen[keys] = True
+            pairs = np.flatnonzero(seen)
+            parent, row_actions = np.divmod(pairs, n + 1)
+            if pairs.size > len(state):      # some row's samples part ways
+                index = np.empty(seen.size, dtype=np.intp)
+                index[pairs] = np.arange(pairs.size)
+                group = index[keys]
+                state, open_rows = state.take(parent), open_rows[parent]
+            state = env.step(state, row_actions, open_rows)
+            open_rows &= row_actions != 0
 
-    rewards = state.collected.sum(axis=1)
+    rewards = state.collected.sum(axis=1)[group]
     best = int(np.argmax(rewards))
-    traj = env.Trajectory.of_row(state.orders[best], np.stack(record)[:, best], rewards[best])
+    traj = env.Trajectory.of_row(state.orders[group[best]], np.stack(record)[:, best], rewards[best])
     return Solution(routes=traj.routes, objective=traj.reward, optimal=False)

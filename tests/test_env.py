@@ -7,7 +7,7 @@ import pytest
 import scalar_env
 from mstoplab import model as mdl
 from mstoplab.env import (EPS, EnvError, InfeasibleActionError, feasible_mask, replay,
-                          reset, step)
+                          reset, sample_rows, step)
 from mstoplab.instances import GenConfig, Instance, augment, euclidean, generate
 from mstoplab.model import DdtmConfig, DdtmParameters
 
@@ -166,6 +166,51 @@ def test_step_leaves_unselected_rows_unchanged():
     nxt = step(st, np.array([2, 3]), np.array([True, False]))
     assert nxt.visited[0, 1] and not nxt.visited[1].any()
     assert np.array_equal(nxt.fuels[1], st.fuels[1]) and np.array_equal(nxt.legs[1], st.legs[1])
+
+
+def test_taken_rows_step_as_rows_of_their_own():
+    """Rows taken from a state of one instance in a list, repeats allowed,
+    step as the rows of a batch reset with one copy of the instance each."""
+    inst = generous_instance(n=3, k=2)
+    taken = step(step(reset([inst], [(1, 0)]), [2]).take(np.array([0, 0, 0])), np.array([0, 1, 3]))
+    ref = step(step(reset([inst] * 3, [(1, 0)] * 3), np.array([2, 2, 2])), np.array([0, 1, 3]))
+    for field in dataclasses.fields(ref)[1:]:
+        assert np.array_equal(getattr(taken, field.name), getattr(ref, field.name)), field.name
+    assert np.array_equal(feasible_mask(taken), feasible_mask(ref))
+    for other in (ref, reset(inst, (0, 1))):
+        with pytest.raises(EnvError, match="one instance in a list"):
+            other.take(np.array([0]))
+
+
+# --- row sampler -----------------------------------------------------------------
+
+def row_distributions():
+    """Four distributions over five columns: a spread one, a point mass, one
+    with no positive entry and one whose rounded total falls short of 1."""
+    return np.array([[0.1, 0.2, 0.3, 0.4, 0.0],
+                     [0.0, 0.0, 1.0, 0.0, 0.0],
+                     [0.0, 0.0, 0.0, 0.0, 0.0],
+                     [0.3, 0.3, 0.3, 0.1 - 1e-9, 0.0]])
+
+
+def test_sample_rows_draws_from_the_row_its_map_names():
+    probs = row_distributions()
+    group = np.random.default_rng(1).integers(0, len(probs), 200)
+    for seed in range(5):
+        a = sample_rows(probs, group, np.random.default_rng(seed))
+        b = sample_rows(probs[group], np.arange(len(group)), np.random.default_rng(seed))
+        assert np.array_equal(a, b)
+    assert set(a[group == 1]) == {2} and set(a[group == 2]) == {-1}
+
+
+def test_sample_rows_advances_the_generator_once_per_row():
+    probs = row_distributions()
+    for distributions in (1, 3, 4):
+        for rows in (1, 7, 200):
+            rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+            sample_rows(probs[:distributions], np.arange(rows) % distributions, rng)
+            ref.random(rows)
+            assert np.array_equal(rng.random(4), ref.random(4)), (distributions, rows)
 
 
 # --- rewards ---------------------------------------------------------------------

@@ -1,8 +1,12 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import per_sample_tsili
+from mstoplab import env
 from mstoplab.instances import GenConfig, Instance, augment, generate
 from mstoplab.oracle import (Solution, TsiliParams, brute_force_enum,
                              solve_exact, tsili_solve, verify)
@@ -140,10 +144,24 @@ def test_tsili_candidate_set_one_is_greedy_deterministic():
     assert a.routes == b.routes and a.objective == b.objective
 
 
-def test_tsili_no_feasible_customer_gives_empty_routes():
-    inst = Instance(depot=(0.0, 0.0), customers=((0.9, 0.9, 1.0),),
+def stranded_instance():
+    """One vehicle that cannot reach its one customer and return."""
+    return Instance(depot=(0.0, 0.0), customers=((0.9, 0.9, 1.0),),
                     vehicles=((0.3, 0.4, 0.5),), t_max=1.0)
-    sol = tsili_solve(inst, TsiliParams(samples=16), seed=0)
+
+
+def steep_instance():
+    return generate(GenConfig(n=8, k=2, t_max=1.5, prize_mode="uniform", seed=61))
+
+
+def under_the_vehicle_instance():
+    """A feasible customer at distance zero from the vehicle's start."""
+    return Instance(depot=(0.0, 0.0), customers=((0.5, 0.5, 1.0), (0.6, 0.5, 1.0)),
+                    vehicles=((0.5, 0.5, 3.0),), t_max=3.0)
+
+
+def test_tsili_no_feasible_customer_gives_empty_routes():
+    sol = tsili_solve(stranded_instance(), TsiliParams(samples=16), seed=0)
     assert sol.objective == 0.0 and sol.routes == ((),)
 
 
@@ -166,7 +184,7 @@ def test_tsili_steep_exponent_does_not_overflow():
     """The visited customer a vehicle stands on is at distance zero, so its
     desirability must not be raised to the power: at exponent 30 that would
     overflow, and pytest turns the RuntimeWarning into an error."""
-    inst = generate(GenConfig(n=8, k=2, t_max=1.5, prize_mode="uniform", seed=61))
+    inst = steep_instance()
     sol = tsili_solve(inst, TsiliParams(samples=32, exponent=30.0), seed=0)
     assert verify(inst, sol).ok and sol.objective > 0
 
@@ -175,11 +193,59 @@ def test_tsili_feasible_customer_under_the_vehicle_does_not_overflow():
     """A feasible customer at distance zero has an unbounded desirability; the
     row is weighed relative to its best ratio instead of warning and drawing
     from NaN probabilities (pytest turns the RuntimeWarning into an error)."""
-    inst = Instance(depot=(0.0, 0.0), customers=((0.5, 0.5, 1.0), (0.6, 0.5, 1.0)),
-                    vehicles=((0.5, 0.5, 3.0),), t_max=3.0)
+    inst = under_the_vehicle_instance()
     sol = tsili_solve(inst, TsiliParams(samples=8, exponent=30), seed=0)
     assert sol.routes == ((1, 2),) and sol.objective == 2.0
     assert verify(inst, sol).ok
+
+
+def assert_matches_per_sample_tsili(inst, params):
+    """The row-grouped heuristic returns the per-sample reference's
+    solution, bit for bit, at 1, 64 and 1280 samples under several seeds."""
+    for samples in (1, 64, 1280):
+        p = dataclasses.replace(params, samples=samples)
+        for seed in (0, 1, 2):
+            assert tsili_solve(inst, p, seed) == per_sample_tsili.tsili_solve(inst, p, seed), (p, seed)
+
+
+@pytest.mark.parametrize("params", [TsiliParams(), TsiliParams(candidates=1), TsiliParams(candidates=30),
+                                    TsiliParams(exponent=1.0, candidates=8)],
+                         ids=["default", "candidates-1", "candidates-over-n", "exponent-1-candidates-8"])
+@pytest.mark.parametrize("gen_cfg", [GenConfig.preset("mstop10", seed=71), GenConfig.preset("mstop20", seed=72),
+                                     GenConfig(n=5, k=2, t_max=1.5, prize_mode="uniform", seed=73)],
+                         ids=["mstop10", "mstop20", "n5"])
+def test_tsili_matches_per_sample_reference(gen_cfg, params):
+    assert_matches_per_sample_tsili(generate(gen_cfg), params)
+
+
+@pytest.mark.parametrize("make, params", [(steep_instance, TsiliParams(exponent=30.0)),
+                                          (under_the_vehicle_instance, TsiliParams(exponent=30.0)),
+                                          (stranded_instance, TsiliParams())],
+                         ids=["steep-exponent", "steep-exponent-under-the-vehicle", "no-feasible-customer"])
+def test_tsili_matches_per_sample_reference_on_edge_instances(make, params):
+    assert_matches_per_sample_tsili(make(), params)
+
+
+def stepped_row_counts(inst, params, seed):
+    """The number of rows of every state ``env.step`` sees in one solve."""
+    counts, real_step = [], env.step
+
+    def counting(state, actions, rows=None):
+        counts.append(len(state))
+        return real_step(state, actions, rows)
+
+    with mock.patch.object(env, "step", counting):
+        tsili_solve(inst, params, seed)
+    return counts
+
+
+def test_tsili_steps_one_row_per_distinct_partial_route():
+    inst = generate(GenConfig.preset("mstop10", seed=4))
+    assert stepped_row_counts(inst, TsiliParams(), seed=0) == [4, 13, 24, 25, 25, 25, 73, 146, 163, 165, 165, 165]
+    assert max(stepped_row_counts(inst, TsiliParams(samples=8), seed=0)) <= 8
+    # with one candidate every sample follows the same route
+    for seed in range(3):
+        assert set(stepped_row_counts(inst, TsiliParams(candidates=1), seed)) == {1}
 
 
 def test_tsili_params_validation():

@@ -15,6 +15,9 @@ Components:
                criteria 3, 4 and 5 and on mstop10/mstop20 instances: the
                solution's routes and objective and the trajectory census
                (mstop sets under the trained parameters);
+  tsili.*      ``tsili_solve``'s routes and objective at default parameters
+               on the same criterion and mstop10/mstop20 instances, and at
+               exponent 30 on an instance whose customer sits under a vehicle;
   sampled.*    an untaped sampled rollout's sums, mean step entropy and
                per-row trajectory log-probabilities;
   taped.*      64-row instance-aug training rollouts on a tape: actions,
@@ -45,8 +48,9 @@ from mstoplab import model as mdl
 from mstoplab.autodiff import Tape
 from mstoplab.cli import main as cli_main
 from mstoplab.inference import STRATEGIES, InferConfig, infer
-from mstoplab.instances import N_SYMMETRIES, GenConfig, augment, generate
+from mstoplab.instances import N_SYMMETRIES, GenConfig, Instance, augment, generate
 from mstoplab.model import DdtmConfig, DdtmParameters
+from mstoplab.oracle import TsiliParams, tsili_solve
 from mstoplab.training import TrainConfig, surrogate_loss, train
 
 TINY = DdtmConfig(d=32, heads=4, ff_dim=128, encoder_layers=2, decoder_layers=1)
@@ -75,8 +79,8 @@ def trained_parameters():
     return params
 
 
-def infer_sets(trained):
-    """(name, instances, parameters, model config) of each inference set."""
+def instance_sets():
+    """(name, instances) of each inference set."""
     crit3 = [generate(GenConfig(n=4, k=2, t_max=1.5, prize_mode="uniform", seed=s)) for s in (800, 801)]
     crit4 = [generate(GenConfig(n=6, k=2, t_max=1.5, prize_mode="uniform", seed=2_000_000 + i))
              for i in range(10)]
@@ -86,13 +90,14 @@ def infer_sets(trained):
               for i in range(5)]
     mstop10 = [generate(GenConfig.preset("mstop10", seed=900 + i)) for i in range(6)]
     mstop20 = [generate(GenConfig.preset("mstop20", seed=950 + i)) for i in range(6)]
-    return [
-        ("crit3", crit3, DdtmParameters.init(SMALL, seed=0), SMALL),
-        ("crit4", crit4, DdtmParameters.init(TINY, seed=9), TINY),
-        ("crit5", crit5, DdtmParameters.init(TINY, seed=123), TINY),
-        ("mstop10", mstop10, trained, TINY),
-        ("mstop20", mstop20, trained, TINY),
-    ]
+    return [("crit3", crit3), ("crit4", crit4), ("crit5", crit5), ("mstop10", mstop10), ("mstop20", mstop20)]
+
+
+def infer_sets(trained):
+    """(name, instances, parameters, model config) of each inference set."""
+    models = [(DdtmParameters.init(SMALL, seed=0), SMALL), (DdtmParameters.init(TINY, seed=9), TINY),
+              (DdtmParameters.init(TINY, seed=123), TINY), (trained, TINY), (trained, TINY)]
+    return [(name, instances, *model) for (name, instances), model in zip(instance_sets(), models)]
 
 
 def infer_lines():
@@ -106,6 +111,25 @@ def infer_lines():
                                     InferConfig(strategy=strategy, sample_width=64, seed=inst.seed))
                 parts += [sol.routes, np.float64(sol.objective), census.rewards]
             yield f"infer.{name}.{strategy}", digest(*parts)
+
+
+def tsili_lines():
+    """The heuristic at 1,280 samples. Exponent 30 overflows the power on
+    the second instance, whose customer sits under the vehicle."""
+    for name, instances in instance_sets():
+        parts = []
+        for inst in instances:
+            sol = tsili_solve(inst, TsiliParams(), seed=inst.seed)
+            parts += [sol.routes, np.float64(sol.objective)]
+        yield f"tsili.{name}", digest(*parts)
+    steep = [generate(GenConfig(n=8, k=2, t_max=1.5, prize_mode="uniform", seed=61)),
+             Instance(depot=(0.0, 0.0), customers=((0.5, 0.5, 1.0), (0.6, 0.5, 1.0)),
+                      vehicles=((0.5, 0.5, 3.0),), t_max=3.0)]
+    parts = []
+    for seed, inst in enumerate(steep):
+        sol = tsili_solve(inst, TsiliParams(exponent=30.0), seed=seed)
+        parts += [sol.routes, np.float64(sol.objective)]
+    yield "tsili.exponent30", digest(*parts)
 
 
 def sampled_lines():
@@ -182,7 +206,7 @@ def cli_lines():
 
 
 def main() -> int:
-    for lines in (infer_lines, sampled_lines, taped_lines, cli_lines):
+    for lines in (infer_lines, tsili_lines, sampled_lines, taped_lines, cli_lines):
         for name, value in lines():
             print(name, value)
             sys.stdout.flush()
