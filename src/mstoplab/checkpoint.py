@@ -4,6 +4,8 @@ Layout (all integers little-endian):
 
     magic           6 bytes  b"MSTOP\\0"
     format version  u32
+    model count     u32      (0 when the caller names no model)
+    model blocks    one scalar per model extent, named after the field
     param count     u32
     param blocks    name length (u32), utf-8 name, rank (u32),
                     extents (u64 each), payload (little-endian f64)
@@ -26,7 +28,7 @@ import numpy as np
 from .optim import AdamState
 
 MAGIC = b"MSTOP\x00"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -69,7 +71,8 @@ def _read_block(fh):
     return name, arr
 
 
-def _read_blocks(fh, count):
+def _read_blocks(fh):
+    (count,) = struct.unpack("<I", _read_exact(fh, 4))
     blocks = {}
     for _ in range(count):
         name, arr = _read_block(fh)
@@ -77,26 +80,6 @@ def _read_blocks(fh, count):
             raise CheckpointError(f"array {name!r} is stored twice")
         blocks[name] = arr
     return blocks
-
-
-def _write_checkpoint(fh, params: dict, adam: AdamState | None):
-    fh.write(MAGIC)
-    fh.write(struct.pack("<I", FORMAT_VERSION))
-    fh.write(struct.pack("<I", len(params)))
-    for name in sorted(params):
-        _write_block(fh, name, np.asarray(params[name], dtype=np.float64))
-    if adam is None:
-        fh.write(struct.pack("<I", 0))
-        return
-    blocks = [("step", np.float64(adam.step)), ("lr", np.float64(adam.lr)),
-              ("beta1", np.float64(adam.beta1)), ("beta2", np.float64(adam.beta2)),
-              ("eps", np.float64(adam.eps))]
-    for name in sorted(adam.m):
-        blocks.append((f"m:{name}", adam.m[name]))
-        blocks.append((f"v:{name}", adam.v[name]))
-    fh.write(struct.pack("<I", len(blocks)))
-    for name, arr in blocks:
-        _write_block(fh, name, np.asarray(arr, dtype=np.float64))
 
 
 @contextlib.contextmanager
@@ -116,16 +99,27 @@ def atomic_write(path, mode, **open_kwargs):
         raise
 
 
-def save_checkpoint(path, params: dict, adam: AdamState | None = None):
-    """Write named arrays (and optional Adam state) to ``path`` with
-    :func:`atomic_write`, so a write that fails partway leaves the previous
-    file intact."""
+def save_checkpoint(path, params: dict, adam: AdamState | None = None, model: dict | None = None):
+    """Write the model extents (name -> number), named arrays and Adam state
+    to ``path`` with :func:`atomic_write`, so a write that fails partway
+    leaves the previous file intact. ``model`` and ``adam`` may be omitted."""
+    adam_blocks = []
+    if adam is not None:
+        adam_blocks = [("step", adam.step), ("lr", adam.lr), ("beta1", adam.beta1),
+                       ("beta2", adam.beta2), ("eps", adam.eps)]
+        for name in sorted(adam.m):
+            adam_blocks += [(f"m:{name}", adam.m[name]), (f"v:{name}", adam.v[name])]
     with atomic_write(path, "wb") as fh:
-        _write_checkpoint(fh, params, adam)
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", FORMAT_VERSION))
+        for blocks in (sorted((model or {}).items()), sorted(params.items()), adam_blocks):
+            fh.write(struct.pack("<I", len(blocks)))
+            for name, arr in blocks:
+                _write_block(fh, name, np.asarray(arr, dtype=np.float64))
 
 
-def load_checkpoint(path):
-    """Read a checkpoint; returns (params dict, AdamState or None)."""
+def read_checkpoint(path):
+    """Read a checkpoint; returns (model scalars dict, params dict, AdamState or None)."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -133,15 +127,12 @@ def load_checkpoint(path):
         (version,) = struct.unpack("<I", _read_exact(fh, 4))
         if version != FORMAT_VERSION:
             raise CheckpointError(f"unsupported checkpoint format version {version}, expected {FORMAT_VERSION}")
-        (n_params,) = struct.unpack("<I", _read_exact(fh, 4))
-        params = _read_blocks(fh, n_params)
-        (n_adam,) = struct.unpack("<I", _read_exact(fh, 4))
-        raw = _read_blocks(fh, n_adam)
+        model, params, raw = (_read_blocks(fh) for _ in range(3))
         left = _bytes_left(fh)
         if left:
             raise CheckpointError(f"{left} bytes after the last block")
     if not raw:
-        return params, None
+        return model, params, None
     try:
         adam = AdamState(
             lr=float(raw["lr"]), beta1=float(raw["beta1"]), beta2=float(raw["beta2"]),
@@ -154,4 +145,9 @@ def load_checkpoint(path):
             adam.m[name[2:]] = arr
         elif name.startswith("v:"):
             adam.v[name[2:]] = arr
-    return params, adam
+    return model, params, adam
+
+
+def load_checkpoint(path):
+    """Read a checkpoint's arrays; returns (params dict, AdamState or None)."""
+    return read_checkpoint(path)[1:]

@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .checkpoint import FORMAT_VERSION as CKPT_VERSION, atomic_write, load_checkpoint
+from .checkpoint import FORMAT_VERSION as CKPT_VERSION, atomic_write
 from .inference import InferConfig, InferenceError, infer
 from .instances import (DATASET_VERSION, GenConfig, PRESETS, PRIZE_MODES,
                         generate_many, load_dataset, save_dataset)
@@ -85,15 +85,6 @@ def _model_manifest(cfg: DdtmConfig) -> dict:
             "enc_layers": cfg.encoder_layers, "dec_layers": cfg.decoder_layers}
 
 
-def _model_config(args) -> DdtmConfig:
-    if getattr(args, "paper_scale", False):
-        return DdtmConfig.paper_scale()
-    cfg = DdtmConfig(d=args.d, heads=args.heads, ff_dim=args.ff_dim,
-                     encoder_layers=args.enc_layers, decoder_layers=args.dec_layers)
-    cfg.validate()
-    return cfg
-
-
 def _add_gen_flags(p, with_count=True):
     p.add_argument("--preset", choices=sorted(PRESETS), default=None)
     p.add_argument("--n", type=int, default=None)
@@ -103,16 +94,6 @@ def _add_gen_flags(p, with_count=True):
     p.add_argument("--seed", type=int, default=GenConfig.seed)
     if with_count:
         p.add_argument("--count", type=int, default=100)
-
-
-def _add_model_flags(p):
-    p.add_argument("--d", type=int, default=DdtmConfig.d)
-    p.add_argument("--heads", type=int, default=DdtmConfig.heads)
-    p.add_argument("--ff-dim", type=int, default=DdtmConfig.ff_dim)
-    p.add_argument("--enc-layers", type=int, default=DdtmConfig.encoder_layers)
-    p.add_argument("--dec-layers", type=int, default=DdtmConfig.decoder_layers)
-    p.add_argument("--paper-scale", action="store_true",
-                   help=f"use the large preset {DdtmConfig.paper_scale()}")
 
 
 # --- generate ----------------------------------------------------------------
@@ -145,6 +126,11 @@ def _solve_one(job):
     return tsili_solve(inst, tsili, seed=seed)
 
 
+def _mean_gap_pct(refs, objectives) -> float:
+    """Mean relative gap to the references, in percent; a reference of 0 has no gap."""
+    return 100.0 * float(np.mean([(r - obj) / r if r > 0 else 0.0 for r, obj in zip(refs, objectives)]))
+
+
 def _reference_objectives(path) -> list:
     """The ``objective`` of every record of a ``solve`` results file."""
     refs = []
@@ -153,7 +139,10 @@ def _reference_objectives(path) -> list:
             if not line.strip():
                 continue
             try:
-                refs.append(json.loads(line)["objective"])
+                objective = json.loads(line)["objective"]
+                if type(objective) not in (int, float) or not np.isfinite(objective):   # a bool is no number
+                    raise TypeError(f"objective {objective!r} is not a finite number")
+                refs.append(objective)
             except (json.JSONDecodeError, KeyError, TypeError) as err:
                 raise UsageError(f"{path}: line {lineno} is not a results record with an objective "
                                  f"({type(err).__name__}: {err})") from None
@@ -161,6 +150,11 @@ def _reference_objectives(path) -> list:
 
 
 def cmd_solve(args) -> int:
+    tsili = TsiliParams(samples=args.tsili_width, exponent=args.tsili_r, candidates=args.tsili_candidates)
+    if args.method == "exact" and args.budget <= 0:
+        raise UsageError(f"--budget must be positive, got {args.budget}")
+    if args.method == "tsili":
+        tsili.validate()
     instances = load_dataset(args.dataset)
     if instances:
         n = instances[0].n
@@ -173,7 +167,6 @@ def cmd_solve(args) -> int:
     if refs is not None and len(refs) != len(instances):
         raise UsageError(f"reference file has {len(refs)} records, dataset has {len(instances)}")
     out = _out_dir(args.out)
-    tsili = TsiliParams(samples=args.tsili_width, exponent=args.tsili_r, candidates=args.tsili_candidates)
     jobs = [(args.method, inst, args.budget, tsili, args.seed + i, args.force)
             for i, inst in enumerate(instances)]
     t0 = time.perf_counter()
@@ -205,8 +198,7 @@ def cmd_solve(args) -> int:
     mean_obj = float(np.mean([s.objective for s in solutions])) if solutions else 0.0
     line = f"method={args.method} instances={len(solutions)} mean_objective={mean_obj:.4f}"
     if refs:
-        gaps = [(r - s.objective) / r if r > 0 else 0.0 for r, s in zip(refs, solutions)]
-        line += f" mean_gap={100.0 * float(np.mean(gaps)):.2f}%"
+        line += f" mean_gap={_mean_gap_pct(refs, [s.objective for s in solutions]):.2f}%"
     line += f" budget_exhausted={exhausted} expansions={expansions} wall_time={elapsed:.2f}s"
     print(line)
     return 0
@@ -216,7 +208,9 @@ def cmd_solve(args) -> int:
 
 def cmd_train(args) -> int:
     gen_cfg = _gen_config(args)
-    model_cfg = _model_config(args)
+    model_cfg = DdtmConfig(d=args.d, heads=args.heads, ff_dim=args.ff_dim,
+                           encoder_layers=args.enc_layers, decoder_layers=args.dec_layers)
+    model_cfg.validate()
     train_cfg = TrainConfig(
         epochs=args.epochs, steps_per_epoch=args.steps, batch=args.batch,
         alpha=args.alpha, baseline=args.baseline, lr=args.lr,
@@ -282,9 +276,7 @@ def cmd_eval(args) -> int:
     instances = load_dataset(args.dataset)
     if not instances:
         raise UsageError(f"dataset {args.dataset} is empty")
-    model_cfg = _model_config(args)
-    arrays, _ = load_checkpoint(args.checkpoint)
-    params = DdtmParameters.from_arrays(model_cfg, arrays)
+    params, model_cfg = DdtmParameters.load(args.checkpoint)
     out = _out_dir(args.out)
 
     per_strategy = {}
@@ -324,18 +316,11 @@ def cmd_eval(args) -> int:
                 routes_txt = ";".join("-".join(str(c) for c in r) for r in routes)
                 fh.write(f"{i},{strategy},{obj!r},{count},{routes_txt}\n")
 
-    def gap_of(strategy):
-        gaps = []
-        for i, obj, _, _ in per_strategy[strategy]:
-            ref = reference[i]
-            gaps.append((ref - obj) / ref if ref > 0 else 0.0)
-        return 100.0 * float(np.mean(gaps))
-
     table = [f"{'strategy':<12} {'obj':>8} {'gap':>8} {'time':>8}"]
     summary_rows = ["strategy,mean_objective,mean_gap_pct"]
     for strategy in strategies:
-        mean_obj = float(np.mean([row[1] for row in per_strategy[strategy]]))
-        gap = gap_of(strategy)
+        objectives = [row[1] for row in per_strategy[strategy]]
+        mean_obj, gap = float(np.mean(objectives)), _mean_gap_pct(reference, objectives)
         table.append(f"{strategy:<12} {mean_obj:>8.4f} {gap:>7.2f}% {times[strategy]:>7.1f}s")
         summary_rows.append(f"{strategy},{mean_obj!r},{gap!r}")
     with atomic_write(os.path.join(out, "summary.csv"), "w", encoding="utf-8") as fh:
@@ -383,7 +368,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train the policy network")
     _add_gen_flags(p, with_count=False)
-    _add_model_flags(p)
+    p.add_argument("--d", type=int, default=DdtmConfig.d)
+    p.add_argument("--heads", type=int, default=DdtmConfig.heads)
+    p.add_argument("--ff-dim", type=int, default=DdtmConfig.ff_dim)
+    p.add_argument("--enc-layers", type=int, default=DdtmConfig.encoder_layers)
+    p.add_argument("--dec-layers", type=int, default=DdtmConfig.decoder_layers)
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--steps", type=int, default=TrainConfig.steps_per_epoch)
@@ -399,7 +388,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint with decoding strategies")
-    _add_model_flags(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)

@@ -47,13 +47,14 @@ the generator's seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from . import env
 from .autodiff import NEG_INF, Tensor
+from .checkpoint import CheckpointError, read_checkpoint
 from .instances import Instance
 
 LOGIT_CLAMP = 10.0      # final scores are LOGIT_CLAMP * tanh(.) before the mask
@@ -62,17 +63,14 @@ _ENCODE_BLOCK = 64      # most rows per untaped encoder call: one training batch
 
 @dataclass(frozen=True)
 class DdtmConfig:
-    """Model widths; desk-scale defaults, paper-scale preset available."""
+    """Model widths, desk-scale by default. A checkpoint stores them, so
+    ``DdtmParameters.load`` returns the config its arrays were made under."""
 
     d: int = 32
     heads: int = 4
     ff_dim: int = 128
     encoder_layers: int = 2
     decoder_layers: int = 1
-
-    @classmethod
-    def paper_scale(cls) -> "DdtmConfig":
-        return cls(d=128, heads=8, ff_dim=512, encoder_layers=4, decoder_layers=2)
 
     def validate(self):
         if min(self.d, self.heads, self.ff_dim, self.encoder_layers, self.decoder_layers) < 1:
@@ -161,6 +159,22 @@ class DdtmParameters:
                 raise ValueError(
                     f"parameter '{name}': checkpoint shape {arrays[name].shape} vs configured {shape}")
         return cls({name: np.asarray(arrays[name], dtype=np.float64) for name in shapes}, stats)
+
+    @classmethod
+    def load(cls, path) -> tuple["DdtmParameters", DdtmConfig]:
+        """Read a checkpoint's parameters and the config stored with them; a model
+        section that is missing, partial, not whole numbers or invalid raises ``CheckpointError``."""
+        model, arrays, _ = read_checkpoint(path)
+        names = sorted(f.name for f in fields(DdtmConfig))
+        if sorted(model) != names or any(model[k].shape or not float(model[k]).is_integer() for k in names):
+            raise CheckpointError(f"checkpoint model section {({k: v.tolist() for k, v in model.items()})} "
+                                  f"does not give each of {names} as one whole number")
+        cfg = DdtmConfig(**{k: int(model[k]) for k in names})
+        try:
+            cfg.validate()
+        except ValueError as err:
+            raise CheckpointError(f"checkpoint model: {err}") from None
+        return cls.from_arrays(cfg, arrays), cfg
 
 
 class _Binding:

@@ -26,7 +26,7 @@ held-out set decoded greedily with the identity vehicle order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -216,7 +216,7 @@ def train(params: DdtmParameters | None, model_cfg: DdtmConfig, cfg: TrainConfig
     (rng) -> Instance; when omitted it is built from ``gen_cfg``. Report 0
     carries the pre-training validation score of the initial parameters;
     epochs 1..E follow. Checkpoints ``best`` (by validation score) and
-    ``last`` are written when a directory is given.
+    ``last``, each naming ``model_cfg``, are written when a directory is given.
     """
     cfg.validate()
     model_cfg.validate()
@@ -238,8 +238,9 @@ def train(params: DdtmParameters | None, model_cfg: DdtmConfig, cfg: TrainConfig
     best_val = val0
     reports = [EpochReport(epoch=0, train_reward=0.0, baseline_value=0.0, entropy=0.0,
                            grad_norm=0.0, val_score=val0, raw_instances=0)]
+    model = asdict(model_cfg)
     if checkpoint_dir is not None:
-        save_checkpoint(f"{checkpoint_dir}/best.ckpt", params.arrays, None)
+        save_checkpoint(f"{checkpoint_dir}/best.ckpt", params.arrays, None, model)
 
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
@@ -267,9 +268,9 @@ def train(params: DdtmParameters | None, model_cfg: DdtmConfig, cfg: TrainConfig
         )
         reports.append(report)
         if checkpoint_dir is not None:
-            save_checkpoint(f"{checkpoint_dir}/last.ckpt", params.arrays, adam)
+            save_checkpoint(f"{checkpoint_dir}/last.ckpt", params.arrays, adam, model)
             if val > best_val:
-                save_checkpoint(f"{checkpoint_dir}/best.ckpt", params.arrays, None)
+                save_checkpoint(f"{checkpoint_dir}/best.ckpt", params.arrays, None, model)
         if val > best_val:
             best_val = val
         if progress is not None:

@@ -332,9 +332,7 @@ def test_criterion_9_command_determinism(tmp_path):
         ev = tmp_path / f"eval_{tag}"
         assert cli_main(["eval", "--dataset", str(gen / "dataset.jsonl"),
                          "--checkpoint", str(run / "best.ckpt"),
-                         "--strategies", "greedy,perm,perm-aug",
-                         "--d", "16", "--heads", "2", "--ff-dim", "32",
-                         "--enc-layers", "1", "--out", str(ev)]) == 0
+                         "--strategies", "greedy,perm,perm-aug", "--out", str(ev)]) == 0
         outputs[tag] = {
             "dataset": (gen / "dataset.jsonl").read_bytes(),
             "solve_results": (solve / "results.jsonl").read_bytes(),

@@ -5,7 +5,7 @@ import pytest
 
 from mstoplab import autodiff as ad
 from mstoplab.optim import AdamState, MissingGradientError, adam_step, clip_by_global_norm
-from mstoplab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from mstoplab.checkpoint import CheckpointError, load_checkpoint, read_checkpoint, save_checkpoint
 
 import unfused_attention
 from conftest import attention_probe_cases, check_op_gradients, fd_gradient, rel_err
@@ -496,6 +496,20 @@ def test_checkpoint_without_optimizer(tmp_path):
     assert adam is None and np.array_equal(params["w"], np.ones(2))
 
 
+def test_checkpoint_model_section(tmp_path):
+    """Model extents come back as rank-0 blocks from ``read_checkpoint``;
+    ``load_checkpoint`` still returns the arrays and the optimizer state only."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"w": np.ones(2)}, model={"d": 16, "heads": 2})
+    model, params, adam = read_checkpoint(path)
+    assert model == {"d": 16.0, "heads": 2.0} and all(v.shape == () for v in model.values())
+    assert adam is None and list(params) == ["w"]
+    loaded = load_checkpoint(path)
+    assert len(loaded) == 2 and loaded[1] is None and list(loaded[0]) == ["w"]
+    save_checkpoint(path, {"w": np.ones(2)})
+    assert read_checkpoint(path)[0] == {}
+
+
 def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch):
     from mstoplab import checkpoint
     path = tmp_path / "best.ckpt"
@@ -557,7 +571,7 @@ def test_checkpoint_extent_past_the_end_of_the_file(tmp_path, extents):
     path = tmp_path / "huge.ckpt"
     save_checkpoint(path, {"w": np.ones(2)})
     raw = path.read_bytes()
-    rank_at = 6 + 4 + 4 + 4 + 1                 # magic, version, count, name length, "w"
+    rank_at = 6 + 4 + 4 + 4 + 4 + 1             # magic, version, model and param counts, name length, "w"
     shape = struct.pack("<I", len(extents)) + b"".join(struct.pack("<Q", e) for e in extents)
     path.write_bytes(raw[:rank_at] + shape + raw[rank_at + 4 + 8:])
     with pytest.raises(CheckpointError, match="truncated"):
@@ -568,7 +582,7 @@ def test_checkpoint_name_that_is_not_utf8(tmp_path):
     path = tmp_path / "name.ckpt"
     save_checkpoint(path, {"w": np.ones(2)})
     raw = bytearray(path.read_bytes())
-    raw[18:19] = b"\xff"                        # the name "w"
+    raw[22:23] = b"\xff"                        # the name "w", after the empty model section
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="UTF-8"):
         load_checkpoint(path)
@@ -609,11 +623,11 @@ def test_checkpoint_block_name_stored_twice(tmp_path, section):
     save_checkpoint(path, {"w": np.ones(2)}, adam)
     raw = path.read_bytes()
     if section == "params":
-        (count,) = struct.unpack("<I", raw[10:14])
+        (count,) = struct.unpack("<I", raw[14:18])   # after the empty model section
         w = _block(b"w", np.zeros(2))
-        raw = raw[:10] + struct.pack("<I", count + 1) + w + raw[14:]
+        raw = raw[:14] + struct.pack("<I", count + 1) + w + raw[18:]
     else:
-        at = 14 + len(_block(b"w", np.ones(2)))  # the optimizer count
+        at = 18 + len(_block(b"w", np.ones(2)))  # the optimizer count
         (count,) = struct.unpack("<I", raw[at:at + 4])
         raw = raw[:at] + struct.pack("<I", count + 1) + _block(b"lr", np.array(0.5)) + raw[at + 4:]
     path.write_bytes(raw)

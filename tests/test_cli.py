@@ -6,9 +6,11 @@ import struct
 import numpy as np
 import pytest
 
-from mstoplab.checkpoint import load_checkpoint, save_checkpoint
+from mstoplab.checkpoint import CheckpointError, read_checkpoint, save_checkpoint
 from mstoplab.cli import main
+from mstoplab.inference import InferConfig, infer
 from mstoplab.instances import load_dataset
+from mstoplab.model import DdtmConfig, DdtmParameters
 
 
 def run_cli(args):
@@ -95,16 +97,22 @@ def test_solve_tsili_with_reference_gap(tmp_path, dataset_dir, capsys):
     assert "mean_gap=" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("case", ["dataset", "malformed"])
+BAD_REFERENCE_LINES = {"malformed": "{not json", "string": '{"objective": "abc"}',
+                       "null": '{"objective": null}', "bool": '{"objective": true}',
+                       "nan": '{"objective": NaN}'}
+
+
+@pytest.mark.parametrize("case", ["dataset", *BAD_REFERENCE_LINES])
 def test_solve_rejects_bad_reference_file_naming_file_and_line(tmp_path, dataset_dir, capsys, case):
-    """A dataset passed as ``--ref`` has no objectives, and a line that is not
-    JSON has no record: both are usage errors that name the file and the
-    line, raised before any solving."""
+    """A dataset passed as ``--ref`` has no objectives, a line that is not
+    JSON has no record, and an objective that is not a finite number (a
+    string, null, a bool or NaN) has no gap: all are usage errors that name
+    the file and the line, raised before any solving."""
     ref = dataset_dir / "dataset.jsonl"
     lineno = 1
-    if case == "malformed":
+    if case != "dataset":
         lines = [json.dumps({"instance": i, "objective": 1.0}) for i in range(12)]
-        lines[4] = "{not json"
+        lines[4] = BAD_REFERENCE_LINES[case]
         ref, lineno = tmp_path / "results.jsonl", 5
         ref.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "tsili"
@@ -113,6 +121,29 @@ def test_solve_rejects_bad_reference_file_naming_file_and_line(tmp_path, dataset
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and f"{ref}: line {lineno} " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method, flag, value, message", [
+    ("exact", "--budget", "0", "--budget must be positive"),
+    ("tsili", "--tsili-width", "0", "invalid heuristic parameters"),
+    ("tsili", "--tsili-r", "-1", "invalid heuristic parameters"),
+], ids=["budget", "tsili-width", "tsili-r"])
+def test_solve_rejects_bad_method_parameters_before_work(tmp_path, dataset_dir, capsys, monkeypatch,
+                                                          method, flag, value, message):
+    """The chosen method's parameters are checked before the output
+    directory is made and before a worker pool starts."""
+    from mstoplab import cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started before the parameters were checked")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    out = tmp_path / "solve"
+    code = run_cli(["solve", "--dataset", str(dataset_dir / "dataset.jsonl"), "--method", method,
+                    "--workers", "2", f"{flag}={value}", "--out", str(out)])
+    assert code == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -204,7 +235,6 @@ def test_eval_strategies_table(tmp_path, dataset_dir, trained_dir, capsys):
     code = run_cli(["eval", "--dataset", str(dataset_dir / "dataset.jsonl"),
                     "--checkpoint", str(trained_dir / "best.ckpt"),
                     "--strategies", "greedy,perm,perm-aug",
-                    "--d", "16", "--heads", "2", "--ff-dim", "32", "--enc-layers", "1",
                     "--out", str(out)])
     assert code == 0
     printed = capsys.readouterr().out
@@ -233,7 +263,6 @@ def test_eval_best_reference_has_zero_gap(tmp_path, dataset_dir, trained_dir):
     run_cli(["eval", "--dataset", str(dataset_dir / "dataset.jsonl"),
              "--checkpoint", str(trained_dir / "best.ckpt"),
              "--strategies", "greedy,perm", "--reference", "best",
-             "--d", "16", "--heads", "2", "--ff-dim", "32", "--enc-layers", "1",
              "--out", str(out)])
     gaps = [float(line.split(",")[2])
             for line in (out / "summary.csv").read_text().splitlines()[1:]]
@@ -247,7 +276,6 @@ def test_eval_rerun_identical_results(tmp_path, dataset_dir, trained_dir):
         run_cli(["eval", "--dataset", str(dataset_dir / "dataset.jsonl"),
                  "--checkpoint", str(trained_dir / "best.ckpt"),
                  "--strategies", "greedy,perm",
-                 "--d", "16", "--heads", "2", "--ff-dim", "32", "--enc-layers", "1",
                  "--out", str(out)])
         outs.append(out)
     assert (outs[0] / "results.csv").read_bytes() == (outs[1] / "results.csv").read_bytes()
@@ -258,8 +286,7 @@ def test_eval_failed_write_keeps_previous_results(tmp_path, dataset_dir, trained
     from mstoplab import cli
     out = tmp_path / "eval"
     args = ["eval", "--dataset", str(dataset_dir / "dataset.jsonl"),
-            "--checkpoint", str(trained_dir / "best.ckpt"), "--strategies", "greedy",
-            "--d", "16", "--heads", "2", "--ff-dim", "32", "--enc-layers", "1", "--out", str(out)]
+            "--checkpoint", str(trained_dir / "best.ckpt"), "--strategies", "greedy", "--out", str(out)]
     assert run_cli(args) == 0
     before = {name: (out / name).read_bytes() for name in os.listdir(out)}
 
@@ -297,7 +324,6 @@ def test_eval_rejects_bad_strategy_list_before_work(tmp_path, dataset_dir, train
     code = run_cli(["eval", "--dataset", str(dataset_dir / "dataset.jsonl"),
                     "--checkpoint", str(trained_dir / "best.ckpt"),
                     "--strategies", strategies, "--reference", reference,
-                    "--d", "16", "--heads", "2", "--ff-dim", "32", "--enc-layers", "1",
                     "--out", str(tmp_path / "bad")])
     assert code == 1
     assert message in capsys.readouterr().err
@@ -314,47 +340,109 @@ def test_eval_rejects_a_file_of_the_wrong_kind(tmp_path, dataset_dir, trained_di
     else:
         checkpoint = dataset_dir / "dataset.jsonl"
     code = run_cli(["eval", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
-                    "--d", "16", "--heads", "2", "--ff-dim", "32", "--enc-layers", "1",
                     "--out", str(tmp_path / "bad")])
     assert code == 1
-    assert "usage error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    message = {"dataset": "malformed record at line 1", "checkpoint": "bad magic bytes"}[case]
+    assert err.startswith("usage error: ") and message in err
     assert not (tmp_path / "bad").exists()
+
+
+# train's model section: one rank-0 block (name length, name, rank, f64) per DdtmConfig field
+MODEL_SECTION_BYTES = sum(4 + len(f.name) + 4 + 8 for f in dataclasses.fields(DdtmConfig))
 
 
 @pytest.mark.parametrize("case", ["extent", "adam"])
 def test_eval_rejects_a_malformed_checkpoint(tmp_path, dataset_dir, trained_dir, capsys, case):
-    """A checkpoint whose first extent runs past the end of the file, or
-    whose optimizer state lacks its scalars, is a usage error, and nothing
-    is written."""
+    """A checkpoint whose first parameter extent runs past the end of the
+    file, or whose optimizer state lacks its scalars, is a usage error, and
+    nothing is written."""
     raw = (trained_dir / "best.ckpt").read_bytes()
     if case == "extent":
-        (name_len,) = struct.unpack("<I", raw[14:18])
-        at = 18 + name_len + 4                  # the first block's first extent
+        at = 14 + MODEL_SECTION_BYTES           # the parameter count
+        (name_len,) = struct.unpack("<I", raw[at + 4:at + 8])
+        at += 8 + name_len + 4                  # the first parameter's first extent
         raw = raw[:at] + struct.pack("<Q", 2 ** 40) + raw[at + 8:]
     else:
-        params, _ = load_checkpoint(trained_dir / "best.ckpt")
-        save_checkpoint(tmp_path / "plain.ckpt", params)
+        model, params, _ = read_checkpoint(trained_dir / "best.ckpt")
+        save_checkpoint(tmp_path / "plain.ckpt", params, model=model)
         moment = np.zeros(1).tobytes()
-        raw = ((tmp_path / "plain.ckpt").read_bytes()[:-4] + struct.pack("<I", 1)
+        raw = ((tmp_path / "plain.ckpt").read_bytes()[:-4] + struct.pack("<I", 1)   # the optimizer count
                + struct.pack("<I", 3) + b"m:w" + struct.pack("<IQ", 1, 1) + moment)
     checkpoint = tmp_path / "bad.ckpt"
     checkpoint.write_bytes(raw)
     code = run_cli(["eval", "--dataset", str(dataset_dir / "dataset.jsonl"), "--checkpoint", str(checkpoint),
-                    "--d", "16", "--heads", "2", "--ff-dim", "32", "--enc-layers", "1",
                     "--out", str(tmp_path / "bad")])
     assert code == 1
-    assert "usage error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    message = {"extent": "truncated checkpoint file", "adam": "optimizer state without its scalars"}[case]
+    assert err.startswith("usage error: ") and message in err
     assert not (tmp_path / "bad").exists()
 
 
 def test_eval_checkpoint_shape_mismatch_reports_both(tmp_path, dataset_dir, trained_dir, capsys):
+    """A stored model config that disagrees with the stored arrays names both shapes."""
+    model, params, _ = read_checkpoint(trained_dir / "best.ckpt")
+    checkpoint = tmp_path / "wide.ckpt"
+    save_checkpoint(checkpoint, params, model={**model, "d": np.array(32.0)})
     code = run_cli(["eval", "--dataset", str(dataset_dir / "dataset.jsonl"),
-                    "--checkpoint", str(trained_dir / "best.ckpt"),
-                    "--d", "32", "--heads", "2", "--ff-dim", "32", "--enc-layers", "1",
-                    "--out", str(tmp_path / "bad")])
+                    "--checkpoint", str(checkpoint), "--out", str(tmp_path / "bad")])
     assert code == 1
     err = capsys.readouterr().err
     assert "(2, 16)" in err and "(2, 32)" in err
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("heads", [2, 4])
+def test_eval_reads_the_model_from_the_checkpoint(tmp_path, dataset_dir, heads):
+    """Two models that differ only in their head count have arrays of equal
+    shapes; eval, given no model flag, decodes each under its own config."""
+    run, out = tmp_path / f"heads{heads}", tmp_path / f"eval{heads}"
+    assert run_cli(["train", "--n", "5", "--k", "2", "--t-max", "1.5", "--epochs", "1", "--steps", "2",
+                    "--batch", "16", "--val-size", "8", "--d", "16", "--heads", str(heads),
+                    "--ff-dim", "32", "--enc-layers", "1", "--out", str(run)]) == 0
+    assert run_cli(["eval", "--dataset", str(dataset_dir / "dataset.jsonl"),
+                    "--checkpoint", str(run / "best.ckpt"), "--strategies", "greedy",
+                    "--out", str(out)]) == 0
+    cfg = DdtmConfig(d=16, heads=heads, ff_dim=32, encoder_layers=1)
+    params = DdtmParameters.from_arrays(cfg, read_checkpoint(run / "best.ckpt")[1])
+    expected = [f"{i},greedy,{infer(inst, params, cfg, InferConfig(strategy='greedy'))[0].objective!r}"
+                for i, inst in enumerate(load_dataset(dataset_dir / "dataset.jsonl"))]
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert [",".join(row.split(",")[:3]) for row in rows] == expected
+    assert json.loads((out / "manifest.json").read_text())["config"]["model"]["heads"] == heads
+
+
+@pytest.mark.parametrize("case", ["missing", "partial", "non-integral", "not-a-scalar", "invalid"])
+def test_eval_rejects_a_malformed_model_section(tmp_path, dataset_dir, trained_dir, capsys, case):
+    """A checkpoint must name its whole model in whole numbers that make a
+    valid config; anything else is a CheckpointError and exits 1."""
+    model, params, _ = read_checkpoint(trained_dir / "best.ckpt")
+    model = {"missing": {}, "partial": {k: v for k, v in model.items() if k != "heads"},
+             "non-integral": {**model, "heads": np.array(2.5)},
+             "not-a-scalar": {**model, "heads": np.array([2.0])},
+             "invalid": {**model, "heads": np.array(3.0)}}[case]
+    checkpoint = tmp_path / "model.ckpt"
+    save_checkpoint(checkpoint, params, model=model)
+    with pytest.raises(CheckpointError):
+        DdtmParameters.load(checkpoint)
+    code = run_cli(["eval", "--dataset", str(dataset_dir / "dataset.jsonl"),
+                    "--checkpoint", str(checkpoint), "--out", str(tmp_path / "bad")])
+    assert code == 1
+    assert "usage error: checkpoint model" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+def test_eval_rejects_a_format_1_checkpoint(tmp_path, dataset_dir, trained_dir, capsys):
+    """Format 1 had no model section; such a file is refused, naming its version."""
+    raw = (trained_dir / "best.ckpt").read_bytes()
+    checkpoint = tmp_path / "v1.ckpt"
+    checkpoint.write_bytes(raw[:6] + struct.pack("<I", 1) + raw[14 + MODEL_SECTION_BYTES:])
+    code = run_cli(["eval", "--dataset", str(dataset_dir / "dataset.jsonl"),
+                    "--checkpoint", str(checkpoint), "--out", str(tmp_path / "bad")])
+    assert code == 1
+    assert "unsupported checkpoint format version 1, expected 2" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
 
 
 def test_eval_refuses_budget_truncated_exact_reference(tmp_path, dataset_dir, trained_dir,
@@ -369,7 +457,6 @@ def test_eval_refuses_budget_truncated_exact_reference(tmp_path, dataset_dir, tr
     monkeypatch.setattr(cli, "solve_exact", cut_short)
     code = run_cli(["eval", "--dataset", str(dataset_dir / "dataset.jsonl"),
                     "--checkpoint", str(trained_dir / "best.ckpt"), "--strategies", "greedy",
-                    "--d", "16", "--heads", "2", "--ff-dim", "32", "--enc-layers", "1",
                     "--out", str(tmp_path / "cut")])
     assert code == 2
     assert "instance 0" in capsys.readouterr().err
@@ -389,7 +476,6 @@ def test_eval_fails_on_an_unverified_solution(tmp_path, dataset_dir, trained_dir
     out = tmp_path / "unverified"
     code = run_cli(["eval", "--dataset", str(dataset_dir / "dataset.jsonl"),
                     "--checkpoint", str(trained_dir / "best.ckpt"), "--strategies", "greedy",
-                    "--d", "16", "--heads", "2", "--ff-dim", "32", "--enc-layers", "1",
                     "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err

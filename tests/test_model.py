@@ -9,6 +9,7 @@ from mstoplab import autodiff as ad
 from mstoplab import env
 from mstoplab import model as mdl
 from mstoplab.autodiff import NEG_INF, Tape
+from mstoplab.checkpoint import save_checkpoint
 from mstoplab.instances import N_SYMMETRIES, GenConfig, Instance, apply_symmetry, augment, generate
 from mstoplab.model import (LOGIT_CLAMP, DdtmConfig, DdtmParameters, RouteDecoder,
                             encode_states, parameter_schema, positional_encoding)
@@ -45,10 +46,17 @@ def test_config_validation():
     CFG.validate()
 
 
-def test_paper_scale_preset():
-    big = DdtmConfig.paper_scale()
-    assert (big.d, big.heads, big.ff_dim) == (128, 8, 512)
-    assert (big.encoder_layers, big.decoder_layers) == (4, 2)
+def test_load_returns_the_config_stored_with_the_arrays(tmp_path):
+    """The head count leaves no trace in any array shape, so the checkpoint
+    stores the config and ``load`` returns it."""
+    cfg = DdtmConfig(d=16, heads=8, ff_dim=24, encoder_layers=3, decoder_layers=2)
+    saved = DdtmParameters.init(cfg, seed=3)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, saved.arrays, model=dataclasses.asdict(cfg))
+    loaded, loaded_cfg = DdtmParameters.load(path)
+    assert loaded_cfg == cfg and loaded.stats == saved.stats
+    assert all(np.array_equal(loaded[name], saved[name]) for name in saved.keys())
+    assert loaded.keys() == saved.keys()
 
 
 def test_parameter_schema_round_trip(params):

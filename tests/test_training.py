@@ -336,8 +336,12 @@ def test_train_greedy_rollout_recopies_only_on_validation_improvement(monkeypatc
 
 def test_train_writes_checkpoints(tmp_path):
     cfg = TrainConfig(epochs=1, steps_per_epoch=2, batch=16, validation_size=8)
-    train(None, CFG, cfg, gen_cfg=GEN, checkpoint_dir=str(tmp_path))
-    assert (tmp_path / "best.ckpt").exists() and (tmp_path / "last.ckpt").exists()
+    params, _ = train(None, CFG, cfg, gen_cfg=GEN, checkpoint_dir=str(tmp_path))
+    for name in ("best.ckpt", "last.ckpt"):
+        loaded, model_cfg = DdtmParameters.load(tmp_path / name)
+        assert model_cfg == CFG and loaded.keys() == params.keys()
+    last, _ = DdtmParameters.load(tmp_path / "last.ckpt")
+    assert all(np.array_equal(last[k], params[k]) for k in params.keys())
 
 
 def test_entropy_pressure_increases_probe_entropy():

@@ -176,7 +176,6 @@ def taped_lines():
 
 def cli_lines():
     """Criterion 9's commands, run once in a temporary directory."""
-    model = ["--d", "16", "--heads", "2", "--ff-dim", "32", "--enc-layers", "1"]
     with tempfile.TemporaryDirectory() as tmp:
         gen, solve, run, ev = (os.path.join(tmp, d) for d in ("gen", "solve", "train", "eval"))
         dataset = os.path.join(gen, "dataset.jsonl")
@@ -185,9 +184,10 @@ def cli_lines():
              "--out", gen],
             ["solve", "--dataset", dataset, "--method", "exact", "--workers", "1", "--out", solve],
             ["train", "--n", "5", "--k", "2", "--t-max", "1.5", "--epochs", "1", "--steps", "2",
-             "--batch", "16", "--val-size", "8", *model, "--out", run],
+             "--batch", "16", "--val-size", "8", "--d", "16", "--heads", "2", "--ff-dim", "32",
+             "--enc-layers", "1", "--out", run],
             ["eval", "--dataset", dataset, "--checkpoint", os.path.join(run, "best.ckpt"),
-             "--strategies", "greedy,perm,perm-aug", *model, "--out", ev],
+             "--strategies", "greedy,perm,perm-aug", "--out", ev],
         ]
         for argv in commands:
             with contextlib.redirect_stdout(io.StringIO()):
