@@ -157,7 +157,8 @@ def _swap_last(x):
 
 
 # ---------------------------------------------------------------------------
-# operation kinds: each entry returns (value, backward_fn) given raw arrays
+# operation kinds: each entry returns (value, backward_fn) given raw arrays;
+# ``needs`` flags the taped inputs, and is None when no input is taped
 # ---------------------------------------------------------------------------
 
 def _op_matmul(vals, attrs, needs):
@@ -167,9 +168,9 @@ def _op_matmul(vals, attrs, needs):
     transpose_b = attrs.get("transpose_b", False)
     bt = _swap_last(b) if transpose_b else b
     out = a @ bt
-    need_a, need_b = needs
 
     def backward(g):
+        need_a, need_b = needs
         ga = gb = None
         if bt.ndim == 2:
             # batched activations against one weight matrix: flatten to a
@@ -236,7 +237,7 @@ def _row_max(z):
 def _softmax_raw(z):
     """Softmax over the last axis, computed in place in ``z``."""
     m = _row_max(z)
-    if np.isneginf(m).any():
+    if (m == -np.inf).any():
         raise NonFiniteError("attention: a row is fully masked to -inf")
     z -= m
     np.exp(z, out=z)
@@ -310,17 +311,15 @@ def _op_attention(vals, attrs, needs):
 
 def _op_log_softmax(vals, attrs, needs):
     (x,) = vals
-    z = x + np.asarray(attrs["mask"], dtype=np.float64)
-    m = _row_max(z)
-    if np.isneginf(m).any():
+    out = x + np.asarray(attrs["mask"], dtype=np.float64)      # shifted in place below
+    m = _row_max(out)
+    if (m == -np.inf).any():
         raise NonFiniteError("log_softmax: a row is fully masked to -inf")
-    shifted = z - m
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = shifted - lse
-    p = np.exp(out)
+    out -= m
+    out -= np.log(np.exp(out).sum(axis=-1, keepdims=True))
 
     def backward(g):
-        return (g - p * np.sum(g, axis=-1, keepdims=True),)
+        return (g - np.exp(out) * np.sum(g, axis=-1, keepdims=True),)
 
     return out, backward
 
@@ -369,9 +368,8 @@ def _op_batchnorm(vals, attrs, needs):
     if running_mean.shape != (x.shape[-1],) or running_var.shape != (x.shape[-1],):
         raise ValueError(f"running statistics {running_mean.shape}/{running_var.shape} "
                          f"do not match {x.shape[-1]} channels")
-    axes = tuple(range(x.ndim - 1))
-
     if attrs["training"]:
+        axes = tuple(range(x.ndim - 1))
         mu = x.mean(axis=axes)
         var = x.var(axis=axes)
         running_mean *= 1.0 - BN_MOMENTUM
@@ -449,26 +447,32 @@ def forward(kind: str, inputs, attrs=None) -> Tensor:
     own, or the op's check of what numpy would let through) becomes a
     :class:`ShapeMismatchError` that names the kind and the input shapes.
     """
-    if kind not in OP_KINDS:
+    op = OP_KINDS.get(kind)
+    if op is None:
         raise AutodiffError(f"unknown operation kind '{kind}'")
-    tape, vals, ids = None, [], []
+    tape, vals = None, []
     for t in inputs:
         if not isinstance(t, Tensor):
-            t = constant(t)
-        elif t.tape is not None:
+            vals.append(np.asarray(t, dtype=np.float64))
+            continue
+        if t.tape is not None:
             if tape is not None and tape is not t.tape:
                 raise AutodiffError(f"{kind}: inputs live on different tapes")
             tape = t.tape
         vals.append(t.values)
-        ids.append(t.node_id)
+    if tape is None:
+        ids = needs = None          # an untaped op's backward is never called
+    else:
+        ids = tuple(t.node_id if isinstance(t, Tensor) else None for t in inputs)
+        needs = tuple(i is not None for i in ids)
     try:
-        value, backward_fn = OP_KINDS[kind](vals, attrs or {}, tuple(i is not None for i in ids))
+        value, backward_fn = op(vals, attrs or {}, needs)
     except (ValueError, IndexError) as exc:
         raise ShapeMismatchError(kind, f"{exc}; input shapes {[v.shape for v in vals]}") from exc
     if tape is None:
         return Tensor(value)
     out = Tensor(value, tape=tape, node_id=tape._new_id())
-    tape._records.append((out.node_id, tuple(ids), backward_fn))
+    tape._records.append((out.node_id, ids, backward_fn))
     return out
 
 

@@ -155,6 +155,8 @@ def cmd_solve(args) -> int:
         raise UsageError(f"--budget must be positive, got {args.budget}")
     if args.method == "tsili":
         tsili.validate()
+    if args.workers < 0:
+        raise UsageError(f"--workers must be >= 0 (0 = logical cores), got {args.workers}")
     instances = load_dataset(args.dataset)
     if instances:
         n = instances[0].n

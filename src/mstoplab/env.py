@@ -138,7 +138,8 @@ class Trajectory:
     @classmethod
     def of_row(cls, order, row, reward, log_prob=0.0) -> "Trajectory":
         """Trajectory of one row of a (B, T) action record (-1 where idle)."""
-        return cls(order=tuple(int(v) for v in order), actions=tuple(int(a) for a in row if a >= 0),
+        return cls(order=tuple(np.asarray(order).tolist()),
+                   actions=tuple(a for a in np.asarray(row).tolist() if a >= 0),
                    reward=float(reward), log_prob=float(log_prob))
 
     @property
@@ -211,41 +212,44 @@ def feasible_mask(state: State, rows=None) -> np.ndarray:
     return mask[0] if state.batch.single else mask
 
 
-def step(state: State, actions, rows=None) -> State:
+def step(state: State, actions, rows=None, parent=None) -> State:
     """Apply one action per selected row (a scalar for a one-row state); the
     other rows are unchanged. Raises on an infeasible action (contract
-    violation), naming the row."""
+    violation), naming the row. Given an index array ``parent``, it steps
+    the rows ``state.take(parent)`` instead, and writes into that copy
+    rather than copying the rows again."""
+    if parent is not None:
+        state = state.take(parent)
     rows = _selected(state, rows)
     b, n = state.visited.shape
     actions = np.asarray(actions, dtype=np.intp).reshape(b)
     batch = state.batch
-    r = np.arange(b) if rows is None else np.flatnonzero(rows)
+    r = np.arange(b) if rows is None else rows.nonzero()[0]
     a = actions[r]
+    c = a > 0
+    rc, j = r[c], a[c] - 1
     bad = (a < 0) | (a > n)
     if not np.count_nonzero(bad):
         leg = state.legs[r, a]
-        c = a > 0
-        j = a[c] - 1
-        bad[c] = ~_reachable(~state.visited[r[c], j], leg[c],
-                             batch.take(Instance.depot_legs, r[c], j), state.fuel[r[c]])
+        bad[c] = ~_reachable(~state.visited[rc, j], leg[c], batch.take(Instance.depot_legs, rc, j),
+                             state.fuel[rc])
     if np.count_nonzero(bad):
         i = r[bad][0]
         raise InfeasibleActionError(f"row {i}: action {actions[i]} infeasible for vehicle "
                                     f"{state.orders[i, state.active_slot[i]]}")
     # the vehicle burns the leg the rule checked and moves to the chosen node:
     # a customer's prize is collected, the depot hands over to the next vehicle
-    nxt = State(batch=batch, orders=state.orders, visited=state.visited.copy(),
-                at=state.at.copy(), fuels=state.fuels.copy(), collected=state.collected.copy(),
-                active_slot=state.active_slot.copy(), legs=state.legs.copy(),
-                fuel=state.fuel.copy())
+    nxt = state if parent is not None else State(
+        batch=batch, orders=state.orders, visited=state.visited.copy(), at=state.at.copy(),
+        fuels=state.fuels.copy(), collected=state.collected.copy(),
+        active_slot=state.active_slot.copy(), legs=state.legs.copy(), fuel=state.fuel.copy())
     veh = state.orders[r, state.active_slot[r]]
-    nxt.fuel[r] -= leg
-    nxt.fuels[r, veh] = nxt.fuel[r]
+    nxt.fuel[r] = nxt.fuels[r, veh] = state.fuel[r] - leg
     nxt.at[r, veh] = a
     nxt.legs[r] = batch.take(Instance.legs, r, a)
-    rc, h = r[c], r[~c]
     nxt.collected[rc, veh[c]] += batch.take(Instance.prizes, rc, j)
     nxt.visited[rc, j] = True
+    h = r[~c]
     if h.size:
         nxt.active_slot[h] += 1
         nv = state.orders[h, np.minimum(nxt.active_slot[h], state.orders.shape[1] - 1)]
@@ -260,9 +264,12 @@ def sample_rows(probs: np.ndarray, group: np.ndarray, rng) -> np.ndarray:
     per row. A draw past the rounded total takes the last positive entry."""
     cum = np.cumsum(probs, axis=1)
     u = rng.random(group.shape[0])
-    idx = (u[:, None] > cum[group]).sum(axis=1)
+    # a draw's column is the number of its row's cumulative sums below it;
+    # the (columns, draws) layout counts them with one reduction over rows
+    below = u > np.ascontiguousarray(cum.T).take(group, axis=1)
+    idx = np.add.reduce(below, axis=0, dtype=np.intp)
     last_ok = np.where(probs > 0, np.arange(probs.shape[1])[None, :], -1).max(axis=1)
-    return np.minimum(idx, last_ok[group])
+    return np.minimum(idx, last_ok.take(group))
 
 
 def replay(instances, orders, actions):

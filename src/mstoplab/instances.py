@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,7 +103,7 @@ class Instance:
             dtype=np.float64))
 
     def customer_xy(self) -> np.ndarray:
-        return self.node_xy()[1:self.n + 1]
+        return self._cached("_cxy", lambda: self.node_xy()[1:self.n + 1])
 
     def fuels(self) -> np.ndarray:
         return self._cached("_fuels", lambda: np.array([v[2] for v in self.vehicles], dtype=np.float64))
@@ -120,11 +120,11 @@ class Instance:
 
     def start_legs(self) -> np.ndarray:
         """The vehicle-start rows of ``legs``, (K, 1 + n)."""
-        return self.legs()[self.n + 1:]
+        return self._cached("_start_legs", lambda: self.legs()[self.n + 1:])
 
     def depot_legs(self) -> np.ndarray:
         """Customer-to-depot distances (return legs), a column of ``legs``."""
-        return self.legs()[1:self.n + 1, 0]
+        return self._cached("_depot_legs", lambda: self.legs()[1:self.n + 1, 0])
 
 
 @dataclass(frozen=True)
@@ -173,34 +173,35 @@ def check_instance(inst: Instance):
 def generate(config: GenConfig) -> Instance:
     """Sample one instance; deterministic for a given config (seed included)."""
     config.validate()
-    rng = np.random.default_rng(config.seed)
-    depot = tuple(rng.random(2))
-    cust_xy = rng.random((config.n, 2))
-    if config.prize_mode == "constant":
-        prizes = np.ones(config.n)
-    else:
-        prizes = rng.random(config.n)
-    veh_xy = rng.random((config.k, 2))
-    vehicles = []
-    for k in range(config.k):
-        lo = euclidean(veh_xy[k], depot)
-        fuel = rng.uniform(lo, config.t_max)
-        vehicles.append((float(veh_xy[k, 0]), float(veh_xy[k, 1]), float(fuel)))
-    inst = Instance(
-        depot=(float(depot[0]), float(depot[1])),
-        customers=tuple((float(x), float(y), float(p)) for (x, y), p in zip(cust_xy, prizes)),
-        vehicles=tuple(vehicles),
-        t_max=float(config.t_max),
-        prize_mode=config.prize_mode,
-        seed=int(config.seed),
-    )
-    check_instance(inst)
-    return inst
+    return _generate(config, config.seed)
 
 
 def generate_many(config: GenConfig, count: int) -> list:
     """``count`` instances with consecutive seeds starting at config.seed."""
-    return [generate(replace(config, seed=config.seed + i)) for i in range(count)]
+    config.validate()
+    return [_generate(config, config.seed + i) for i in range(count)]
+
+
+def _generate(config: GenConfig, seed: int) -> Instance:
+    """The instance of a validated config under ``seed``. The draws come out
+    as Python floats, and every vehicle's fuel is drawn between its distance
+    to the depot and the route-duration cap."""
+    rng = np.random.default_rng(seed)
+    dx, dy = rng.random(2).tolist()
+    cust_xy = rng.random((config.n, 2)).tolist()
+    prizes = [1.0] * config.n if config.prize_mode == "constant" else rng.random(config.n).tolist()
+    vehicles = tuple((x, y, float(rng.uniform(math.hypot(x - dx, y - dy), config.t_max)))
+                     for x, y in rng.random((config.k, 2)).tolist())
+    inst = Instance(
+        depot=(dx, dy),
+        customers=tuple((x, y, p) for (x, y), p in zip(cust_xy, prizes)),
+        vehicles=vehicles,
+        t_max=float(config.t_max),
+        prize_mode=config.prize_mode,
+        seed=int(seed),
+    )
+    check_instance(inst)
+    return inst
 
 
 def apply_symmetry(inst: Instance, index: int) -> Instance:

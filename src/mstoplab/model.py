@@ -46,6 +46,7 @@ the generator's seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -197,20 +198,25 @@ class _Binding:
         return self.params[name]
 
     def gradients(self, grads) -> dict:
-        """Per-name gradient arrays for all trainable parameters (zeros when unused)."""
+        """Per-name gradient arrays for all trainable parameters: zeros when
+        unused, and all zeros when ``grads`` is None (a constant loss)."""
         out = {}
         for name, arr in self.params.trainable().items():
             t = self._tensors.get(name)
-            out[name] = np.zeros_like(arr) if t is None else grads.of(t)
+            out[name] = np.zeros_like(arr) if t is None or grads is None else grads.of(t)
         return out
 
 
+@functools.lru_cache(maxsize=None)
 def positional_encoding(t_dec: int, d: int) -> np.ndarray:
     """Row vector with sin at even flat indices and cos at odd ones, the
-    exponent running over the flat index."""
+    exponent running over the flat index. Cached per ``(t_dec, d)``, so the
+    array is read-only."""
     i = np.arange(d, dtype=np.float64)
     angle = t_dec / np.power(10000.0, 2.0 * i / d)
-    return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+    pe = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+    pe.setflags(write=False)
+    return pe
 
 
 @dataclass
@@ -233,7 +239,7 @@ def _encode(depot, cust, veh, masked, bind, cfg: DdtmConfig, bn_training):
         ad.matmul(ad.constant(veh), bind("init_veh_w")),
     ], axis=-2)
 
-    if masked.any():
+    if np.count_nonzero(masked):
         union = masked[:, :, None] | masked[:, None, :]
         att_bias = np.where(union, NEG_INF, 0.0)[:, None, :, :]
     else:
@@ -275,9 +281,9 @@ def encode_states(state: env.State, params: DdtmParameters, cfg: DdtmConfig, *,
 
     A taped call or one with batch statistics encodes every row in one call,
     since the tape and the batch statistics couple the rows, and ``source``
-    is the identity.
+    is the identity. So does a one-row call, which has nothing to share.
     """
-    if state.terminal.any():
+    if np.count_nonzero(state.terminal):
         raise env.EnvError("cannot encode a terminal state")
     b, n = state.visited.shape
     k = state.orders.shape[1]
@@ -292,7 +298,7 @@ def encode_states(state: env.State, params: DdtmParameters, cfg: DdtmConfig, *,
         return _encode(depot[rows], cust[rows], veh[rows], masked[rows], bind, cfg, bn_training)
 
     encoded, source = slice(None), np.arange(b)
-    if bind.tape is not None or bn_training:
+    if bind.tape is not None or bn_training or b == 1:
         rows, graph = encode(encoded)
         return Embeddings(rows=rows, graph=graph, source=source, n=n, k=k)
 
@@ -312,6 +318,15 @@ def encode_states(state: env.State, params: DdtmParameters, cfg: DdtmConfig, *,
         blocks = [encode(i) for i in np.split(index, range(_ENCODE_BLOCK, len(index), _ENCODE_BLOCK))]
         rows, graph = (ad.concat(list(parts), axis=0) for parts in zip(*blocks))
     return Embeddings(rows=rows, graph=graph, source=source, n=n, k=k)
+
+
+def _distinct(keys: np.ndarray):
+    """``np.unique(keys, return_index=True, return_inverse=True)``, without
+    its sort when the keys are already strictly increasing."""
+    if (keys[1:] > keys[:-1]).all():
+        index = np.arange(len(keys))
+        return keys, index, index
+    return np.unique(keys, return_index=True, return_inverse=True)
 
 
 class RouteDecoder:
@@ -343,8 +358,7 @@ class RouteDecoder:
         self.n = emb.n
         self.t_dec = 0
         self.hist = [[] for _ in range(cfg.decoder_layers)]
-        keys, self.lead, self.group = np.unique(emb.source * emb.k + vehicle_ids,
-                                                return_index=True, return_inverse=True)
+        keys, self.lead, self.group = _distinct(emb.source * emb.k + vehicle_ids)
         self.src, vehicle_ids = np.divmod(keys, emb.k)
         node_part = ad.take(emb.rows, (self.src, slice(emb.n + 1)))
         veh_part = ad.take(emb.rows, (self.src[:, None], emb.n + 1 + vehicle_ids[:, None]))
@@ -391,12 +405,11 @@ class RouteDecoder:
         the depot leave, and the next groups are the distinct (group, action)
         pairs of the rows that stay."""
         self.t_dec += 1
-        stay = np.flatnonzero((self.group >= 0) & (actions != 0))
+        stay = ((self.group >= 0) & (actions != 0)).nonzero()[0]
         if not stay.size:
             self.group = np.full_like(self.group, -1)
             return
-        keys, first, inverse = np.unique(self.group[stay] * (self.n + 1) + actions[stay],
-                                         return_index=True, return_inverse=True)
+        keys, first, inverse = _distinct(self.group[stay] * (self.n + 1) + actions[stay])
         parent, nodes = np.divmod(keys, self.n + 1)
         if not np.array_equal(parent, np.arange(len(self.lead))):
             # one ``take`` per tensor narrows or repeats the decoded rows; the
@@ -431,6 +444,12 @@ def _entropy(logp: Tensor) -> Tensor:
     return ad.mul(ad.tsum(ad.mul(ad.exp(logp), logp), axis=-1), -1.0)
 
 
+def _has_choice(feasible: np.ndarray) -> bool:
+    """Whether some decoded row has a feasible customer. At any other step
+    every open route can only return to the depot, and nothing is decoded."""
+    return np.count_nonzero(feasible[:, 1:]) > 0
+
+
 def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
                    rng=None, tape=None, bn_training=False) -> BatchRollout:
     """Lockstep batched rollout over instances with per-instance vehicle orders.
@@ -444,11 +463,14 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
     Every vehicle slot is decoded jointly. A row whose route has ended
     leaves the decoder and the open rows are decoded once per group (see
     :class:`RouteDecoder`); each row still takes its own action, and the
-    environment leaves an ended row unchanged until the slot ends. One
-    gather after the last step builds every row's sums of chosen
-    log-probabilities and of step entropies; a row that did not act at a
-    step reads a point mass at the depot there: log-probability 0.0,
-    entropy -0.0 and no gradient.
+    environment leaves an ended row unchanged until the slot ends. A step
+    at which no open route has a feasible customer is forced: it is not
+    decoded, and every open row takes the depot. One gather after the last
+    step builds every row's sums of chosen log-probabilities and of step
+    entropies; a row that did not act at a step, or acted at a forced one,
+    reads a point mass at the depot there: log-probability 0.0, entropy -0.0
+    and no gradient. These are the values a decoded point mass has, so
+    skipping a forced step changes no value.
     """
     state = env.reset(list(instances), list(orders))
     bind = _Binding(params, tape)
@@ -458,33 +480,41 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
         emb = encode_states(state, bind, cfg, bn_training=bn_training)
         dec = RouteDecoder(emb, bind, cfg, state.orders[:, slot])
         open_rows = np.ones(len(state), dtype=bool)
-        while open_rows.any():
+        while np.count_nonzero(open_rows):
             lead = dec.lead
-            mask_add = np.where(env.feasible_mask(state, open_rows)[lead], 0.0, NEG_INF)
-            logp = dec.step(state.fuel[lead], mask_add)
-            probs = np.exp(logp.values)
-            if not np.isfinite(probs).all():
-                bad = ~np.isfinite(probs).all(axis=1)
-                row = int(np.flatnonzero((dec.group >= 0) & bad[dec.group])[0])
-                raise ad.NonFiniteError(f"non-finite action probabilities at vehicle slot {slot}, "
-                                        f"decode step {dec.t_dec}, state row {row}", row=row)
+            feasible = env.feasible_mask(state, open_rows)[lead]
+            if _has_choice(feasible):
+                logp = dec.step(state.fuel[lead], np.where(feasible, 0.0, NEG_INF))
+                probs = np.exp(logp.values)
+                if not np.isfinite(probs).all():
+                    bad = ~np.isfinite(probs).all(axis=1)
+                    row = int(np.flatnonzero((dec.group >= 0) & bad[dec.group])[0])
+                    raise ad.NonFiniteError(f"non-finite action probabilities at vehicle slot {slot}, "
+                                            f"decode step {dec.t_dec}, state row {row}", row=row)
+                logps.append(logp)
+                rows.append(np.where(open_rows, dec.group + decoded, -1))
+                decoded += len(logp.values)
+            else:
+                # a forced step: the depot is every route's only feasible
+                # action, so the mask is its point mass; every row reads the
+                # gather's depot row
+                probs = feasible.astype(np.float64)
+                rows.append(np.full(len(state), -1))
             # rows that left the decoder (group -1) are set to the depot below
             if rng is None:
                 actions = probs.argmax(axis=1)[dec.group]
             else:
                 actions = env.sample_rows(probs, dec.group, rng)
             actions = np.where(open_rows, actions, 0)
-            logps.append(logp)
-            rows.append(np.where(open_rows, dec.group + decoded, -1))
-            decoded += len(logp.values)
             state = env.step(state, actions, open_rows)
             record.append(np.where(open_rows, actions, -1))
             open_rows &= actions != 0
             dec.advance(actions)
 
-    # one gather over every step; a row that did not act reads the last row,
-    # the depot's point mass. Taking the chosen entries before the entropies
-    # fixes the order in which each log-probability's gradients add up.
+    # one gather over every step; a row that did not act or had no choice
+    # reads the last row, the depot's point mass. Taking the chosen entries
+    # before the entropies fixes the order in which each log-probability's
+    # gradients add up.
     actions, rows = np.stack(record, axis=1), np.stack(rows)        # (B, T), (T, B)
     stacked = ad.concat(logps + [np.zeros((1, state.visited.shape[1] + 1))], axis=0)
     chosen = ad.take(stacked, (rows, np.maximum(actions, 0).T))
@@ -495,6 +525,6 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
         rewards=state.collected.sum(axis=1),
         logp_sum=ad.tsum(chosen, axis=0),
         entropy_sum=ad.tsum(ent, axis=0),
-        mean_step_entropy=sum(float(e.sum()) for e in ent.values) / max(int(np.count_nonzero(rows >= 0)), 1),
+        mean_step_entropy=sum(ent.values.sum(axis=1).tolist()) / max(int(np.count_nonzero(actions >= 0)), 1),
         binding=bind,
     )

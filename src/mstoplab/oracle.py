@@ -98,6 +98,8 @@ def solve_exact(inst: Instance, budget: int = EXACT_BUDGET) -> Solution:
         elif abs(collected - best["obj"]) <= _TINY and routes < best["routes"]:
             best["routes"] = routes
 
+    customers = [(j, 1 << j, dret[j], p[j - 1]) for j in range(1, n + 1)]
+
     def dfs(k, pos, fuel, visited, collected):
         counter["expansions"] += 1
         if counter["expansions"] > budget:
@@ -105,16 +107,17 @@ def solve_exact(inst: Instance, budget: int = EXACT_BUDGET) -> Solution:
             return
         drow = d[pos]
         later = reach_later[k]
+        limit = fuel + EPS
         bound = collected
         feasible = []
-        for j in range(1, n + 1):
-            if visited & (1 << j):
+        for j, bit, back, prize in customers:
+            if visited & bit:
                 continue
-            if drow[j] + dret[j] <= fuel + EPS:
-                bound += p[j - 1]
+            if drow[j] + back <= limit:
+                bound += prize
                 feasible.append(j)
             elif j in later:
-                bound += p[j - 1]
+                bound += prize
         if bound <= best["obj"] + _TINY:
             return
         feasible.sort(key=lambda j: (-p[j - 1] / max(drow[j], _TINY), j))
@@ -247,7 +250,7 @@ def verify(inst: Instance, sol: Solution) -> FeasibilityReport:
                 violations.append(Violation("duplicate-visit", f"customer {c} in routes {seen[c]} and {k}"))
             else:
                 seen[c] = k
-    fuels = inst.fuels()
+    fuels = inst.fuels().tolist()
     for k, route in enumerate(sol.routes[:inst.k]):
         if not route:
             continue
@@ -255,7 +258,7 @@ def verify(inst: Instance, sol: Solution) -> FeasibilityReport:
         length = sum(euclidean(a, b) for a, b in zip(pts[:-1], pts[1:]))
         if length > fuels[k] + EPS:
             violations.append(Violation("fuel-budget", f"route {k} length {length:.12f} exceeds fuel {fuels[k]:.12f}"))
-    prizes = inst.prizes()
+    prizes = inst.prizes().tolist()
     recomputed = float(sum(prizes[c - 1] for c in seen))
     if abs(recomputed - sol.objective) > 1e-9:
         violations.append(Violation("objective-mismatch",
@@ -278,8 +281,8 @@ def tsili_solve(inst: Instance, params: TsiliParams = TsiliParams(), seed: int =
     maps each sample to its row, and feasibility and the candidate weights
     are worked out once per row. Each sample still draws its own number, so
     the draws and the result are those of one row per sample. After each
-    step the rows are the distinct (row, action) pairs, and the state copies
-    rows only when some row's samples part ways.
+    step the rows are the distinct (row, action) pairs; when some row's
+    samples part ways, the step copies the rows into their new places.
     """
     params.validate()
     rng = np.random.default_rng(seed)
@@ -292,11 +295,10 @@ def tsili_solve(inst: Instance, params: TsiliParams = TsiliParams(), seed: int =
 
     for _ in range(inst.k):
         open_rows = np.ones(len(state), dtype=bool)
-        while open_rows.any():
+        while np.count_nonzero(open_rows):
             feas = env.feasible_mask(state, open_rows)[:, 1:]
             alive = feas.any(axis=1)
-            actions = np.zeros(s, dtype=np.intp)   # no feasible customer: go home
-            if alive.any():
+            if np.count_nonzero(alive):
                 # only feasible customers are raised to the power: the visited
                 # customer a vehicle stands on is at distance zero
                 ratio = np.where(feas, prizes[None, :] / np.maximum(state.legs[:, 1:], _TINY), 0.0)
@@ -305,7 +307,7 @@ def tsili_solve(inst: Instance, params: TsiliParams = TsiliParams(), seed: int =
                 order = np.argsort(-desir, axis=1, kind="stable")[:, :c]
                 weights = np.take_along_axis(desir, order, axis=1)
                 totals = weights.sum(axis=1, keepdims=True)
-                huge = np.flatnonzero(~np.isfinite(totals[:, 0]))
+                huge = (~np.isfinite(totals[:, 0])).nonzero()[0]
                 if huge.size:
                     # a feasible customer (almost) under the vehicle overflowed the
                     # power: these rows raise ratios relative to their largest instead
@@ -315,21 +317,27 @@ def tsili_solve(inst: Instance, params: TsiliParams = TsiliParams(), seed: int =
                     weights[huge] = np.take_along_axis(desir[huge], order[huge], axis=1)
                     totals[huge] = weights[huge].sum(axis=1, keepdims=True)
                 probs = np.divide(weights, totals, out=np.zeros_like(weights), where=totals > 0)
-                pick_pos = env.sample_rows(probs, group, rng)
-                actions = np.where(alive[group], order[group, pick_pos] + 1, 0)
-            record.append(np.where(open_rows[group], actions, -1))
+                pick = env.sample_rows(probs, group, rng)
+                # each row's candidate actions; the depot if no customer is feasible
+                cand = np.where(alive[:, None], order + 1, 0)
+            else:
+                pick, cand = 0, np.zeros((len(state), 1), dtype=np.intp)
+            # a sample's action is its row's candidate at its pick: tables
+            # per row and candidate, read once per sample
+            record.append(np.where(open_rows[:, None], cand, -1)[group, pick])
             # the next rows are the distinct (row, action) pairs, in key order
-            keys = group * (n + 1) + actions
+            keys = (np.arange(len(state))[:, None] * (n + 1) + cand)[group, pick]
             seen = np.zeros(len(state) * (n + 1), dtype=bool)
             seen[keys] = True
-            pairs = np.flatnonzero(seen)
+            pairs = seen.nonzero()[0]
             parent, row_actions = np.divmod(pairs, n + 1)
-            if pairs.size > len(state):      # some row's samples part ways
+            split = pairs.size > len(state)      # some row's samples part ways
+            if split:
                 index = np.empty(seen.size, dtype=np.intp)
                 index[pairs] = np.arange(pairs.size)
                 group = index[keys]
-                state, open_rows = state.take(parent), open_rows[parent]
-            state = env.step(state, row_actions, open_rows)
+                open_rows = open_rows[parent]
+            state = env.step(state, row_actions, open_rows, parent if split else None)
             open_rows &= row_actions != 0
 
     rewards = state.collected.sum(axis=1)[group]

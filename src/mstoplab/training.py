@@ -167,7 +167,8 @@ def reinforce_step(raw_instances, orders, params: DdtmParameters, adam: AdamStat
     if not np.isfinite(loss.values).all():
         raise TrainingError(
             f"non-finite loss (mean reward {rewards.mean():.6f}, mean baseline {baselines.mean():.6f})")
-    grads = roll.binding.gradients(tape.backward(loss))
+    # a batch in which no row ever had a choice decodes nothing: its loss is a constant
+    grads = roll.binding.gradients(None if loss.tape is None else tape.backward(loss))
     norm = clip_by_global_norm(grads, cfg.clip_norm)
     if not np.isfinite(norm):
         # before Adam writes NaN everywhere; a non-finite weight can keep its own

@@ -360,7 +360,7 @@ def test_every_op_kind_is_issued_by_the_package(monkeypatch):
     monkeypatch.setattr(ad, "forward", recording)
     cfg = DdtmConfig(d=8, heads=2, ff_dim=8, encoder_layers=1, decoder_layers=1)
     params = DdtmParameters.init(cfg, seed=0)
-    inst = generate(GenConfig(n=4, k=2, t_max=1.5, seed=0))
+    inst = generate(GenConfig(n=4, k=2, t_max=1.5, seed=1))     # both vehicles reach a customer
     reinforce_step([inst], [(0, 1)], params, AdamState(lr=1e-4), cfg, TrainConfig(batch=8),
                    rollout_rng=np.random.default_rng(0))
     assert issued == set(ad.OP_KINDS), issued ^ set(ad.OP_KINDS)

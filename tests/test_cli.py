@@ -128,11 +128,12 @@ def test_solve_rejects_bad_reference_file_naming_file_and_line(tmp_path, dataset
     ("exact", "--budget", "0", "--budget must be positive"),
     ("tsili", "--tsili-width", "0", "invalid heuristic parameters"),
     ("tsili", "--tsili-r", "-1", "invalid heuristic parameters"),
-], ids=["budget", "tsili-width", "tsili-r"])
+    ("exact", "--workers", "-3", "--workers must be >= 0"),
+], ids=["budget", "tsili-width", "tsili-r", "workers"])
 def test_solve_rejects_bad_method_parameters_before_work(tmp_path, dataset_dir, capsys, monkeypatch,
                                                           method, flag, value, message):
-    """The chosen method's parameters are checked before the output
-    directory is made and before a worker pool starts."""
+    """The chosen method's parameters and the worker count are checked
+    before the output directory is made and before a worker pool starts."""
     from mstoplab import cli
 
     def no_pool(*args, **kwargs):

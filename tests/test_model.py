@@ -368,18 +368,36 @@ def test_sampled_rollout_same_untaped_and_taped(params):
     assert_rollout_matches_taped(symmetric * 2, [(0, 1)] * 8 + [(1, 0)] * 8, params)
 
 
-def expected_groups(instances, orders, actions):
-    """Rows decoded at each step of a rollout with this action record: the
-    distinct (slot-start state, active vehicle, actions so far in the slot)
-    over the open rows. A route's rows start from one encoded row exactly
-    when their slot-start states look equal to the encoder (``row_keys``)."""
-    state, counts = env.reset(instances, orders), []
+def steps_with_choice(instances, orders, actions):
+    """For each step of a rollout with this action record, whether some open
+    row has a feasible customer: the steps the rollout decodes. At the
+    others every open row can only take the depot."""
+    state, choice = env.reset(instances, orders), []
     open_rows = np.zeros(len(state), dtype=bool)
     for col in actions.T:
+        if not open_rows.any():
+            open_rows = np.ones(len(state), dtype=bool)
+        choice.append(bool(env.feasible_mask(state, open_rows)[:, 1:].any()))
+        state = env.step(state, col, col >= 0)
+        open_rows &= col > 0
+    return choice
+
+
+def expected_groups(instances, orders, actions):
+    """Rows decoded at each decoded step of a rollout with this action
+    record: the distinct (slot-start state, active vehicle, actions so far in
+    the slot) over the open rows. A route's rows start from one encoded row
+    exactly when their slot-start states look equal to the encoder
+    (``row_keys``). A step where no open row has a feasible customer decodes
+    nothing and has no entry."""
+    state, counts = env.reset(instances, orders), []
+    open_rows = np.zeros(len(state), dtype=bool)
+    for col, choice in zip(actions.T, steps_with_choice(instances, orders, actions)):
         if not open_rows.any():      # a vehicle slot starts: every row routes its next vehicle
             key = [(row, int(v)) for row, v in zip(row_keys(state), active_vehicles(state))]
             open_rows = np.ones(len(state), dtype=bool)
-        counts.append(len({key[i] for i in np.flatnonzero(open_rows)}))
+        if choice:
+            counts.append(len({key[i] for i in np.flatnonzero(open_rows)}))
         state = env.step(state, col, col >= 0)
         for i in np.flatnonzero(open_rows):
             key[i] += (int(col[i]),)
@@ -393,7 +411,7 @@ def test_decoder_decodes_each_open_group_once(params, monkeypatch):
     roll = mdl.rollout_states([inst] * 64, [(0, 1)] * 64, params, CFG,
                               rng=np.random.default_rng(11))
     counts = expected_groups([inst] * 64, [(0, 1)] * 64, roll.actions)
-    assert decoded == counts
+    assert decoded == counts and len(counts) < roll.actions.shape[1]     # forced steps decode nothing
     assert counts[0] == 1 and 1 < max(counts) < 64
     assert sum(counts) < (roll.actions >= 0).sum()     # rows on one partial route share a row
 
@@ -410,7 +428,8 @@ def test_decoder_decodes_each_open_group_once(params, monkeypatch):
     decoded.clear()
     roll = mdl.rollout_states([inst] * 64, [(0, 1)] * 64, params, CFG,
                               rng=np.random.default_rng(11), tape=Tape())
-    open_per_step = (roll.actions >= 0).sum(axis=0).tolist()
+    choice = steps_with_choice([inst] * 64, [(0, 1)] * 64, roll.actions)
+    open_per_step = [n for n, c in zip((roll.actions >= 0).sum(axis=0).tolist(), choice) if c]
     assert decoded == open_per_step and min(open_per_step) < 64
 
 
@@ -735,11 +754,15 @@ def per_step_sums(steps, actions):
     same tape. Each step pads its log-probabilities with a depot point mass
     for the rows that left (group -1), takes each state row's chosen entry
     and entropy and adds them on; the mean step entropy divides the summed
-    step entropies by the number of acting rows."""
+    step entropies by the number of acting rows. A step that was not decoded
+    (``(None, None)``) gives every row the point mass."""
     logp_sum = entropy_sum = None
     total, acting = 0.0, 0
     for (logp, group), col in zip(steps, actions.T):
-        padded = ad.concat([logp, np.zeros((1, logp.shape[1]))], axis=0)
+        if logp is None:
+            padded, group = ad.constant(np.zeros((1, 1))), np.full(len(col), -1)
+        else:
+            padded = ad.concat([logp, np.zeros((1, logp.shape[1]))], axis=0)
         chosen = ad.take(padded, (group, np.maximum(col, 0)))
         ent = ad.take(mdl._entropy(padded), (group,))
         logp_sum = chosen if logp_sum is None else ad.add(logp_sum, chosen)
@@ -752,7 +775,8 @@ def per_step_sums(steps, actions):
 def gather_against_per_step_sums(instances, orders, params, seed, tape):
     """One rollout, with each decode step's log-probabilities and groups
     captured and its ``exp`` ops counted; returns it and the reference sums
-    rebuilt from those steps."""
+    rebuilt from those steps, a step that was not decoded reading the depot
+    row."""
     steps, exps = [], []
     real_step, real_exp = RouteDecoder.step, ad.OP_KINDS["exp"]
 
@@ -766,7 +790,10 @@ def gather_against_per_step_sums(instances, orders, params, seed, tape):
         mp.setitem(ad.OP_KINDS, "exp", lambda *args: exps.append(1) or real_exp(*args))
         roll = mdl.rollout_states(instances, orders, params, CFG, rng=np.random.default_rng(seed),
                                   tape=tape, bn_training=tape is not None)
-    assert len(exps) == 1 and len(steps) == roll.actions.shape[1] > 2
+    choice = steps_with_choice(instances, orders, roll.actions)
+    assert len(exps) == 1 and len(steps) == sum(choice) < len(choice) and len(choice) > 2
+    decoded = iter(steps)
+    steps = [next(decoded) if c else (None, None) for c in choice]
     return roll, per_step_sums(steps, roll.actions)
 
 
@@ -829,6 +856,67 @@ def test_one_gather_sums_a_row_of_point_masses_to_positive_zero():
     assert roll.logp_sum.values.tobytes() == reference[0].values.tobytes()
     assert roll.mean_step_entropy == reference[2]
     assert_same_loss_and_gradients(roll, reference, tape)
+
+
+def decode_every_step(mp):
+    """Reference for the forced step: every step is decoded, also one where
+    no open route has a feasible customer, whose distribution is then the
+    decoder's point mass at the depot."""
+    mp.setattr(mdl, "_has_choice", lambda feasible: True)
+
+
+def skip_fingerprint(case, params, instances, orders):
+    """One rollout of ``case`` on a copy of ``params``: its outputs and the
+    generator's next draws as bytes, the gradients of the surrogate loss when
+    taped, the tape's length, and per decode call the tape records it issued
+    and whether its step was forced."""
+    p = params.copy()
+    tape = Tape() if case == "taped" else None
+    rng = None if case == "greedy" else np.random.default_rng(21)
+    calls, real = [], RouteDecoder.step
+
+    def step(dec, fuels, mask):
+        before = 0 if tape is None else len(tape)
+        logp = real(dec, fuels, mask)
+        calls.append((0 if tape is None else len(tape) - before, not (mask[:, 1:] == 0.0).any()))
+        return logp
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RouteDecoder, "step", step)
+        roll = mdl.rollout_states(instances, orders, p, CFG, rng=rng, tape=tape, bn_training=tape is not None)
+    exact = [roll.actions, roll.rewards, roll.logp_sum.values, roll.entropy_sum.values,
+             np.float64(roll.mean_step_entropy)]
+    exact += [rng.random(4)] if rng is not None else []
+    grads = None
+    if tape is not None:
+        loss = surrogate_loss(roll, instance_aug_advantages(roll.rewards), alpha=0.01)
+        grads = roll.binding.gradients(tape.backward(loss))
+        exact += [loss.values] + [p[name] for name in sorted(p.stats)]
+    return [a.tobytes() for a in exact], grads, (0 if tape is None else len(tape)), calls
+
+
+@pytest.mark.parametrize("case", ["sampled", "greedy", "taped"])
+def test_skipping_forced_steps_matches_decoding_them(case):
+    """A 64-row instance-aug mstop20 batch, sampled, greedy and taped with
+    batch statistics, against the reference that decodes every step: the
+    actions, rewards, sums, mean step entropy, generator draws, loss, folded
+    statistics and every gradient byte for byte. The rollout calls the
+    decoder at exactly the reference's steps that were not forced, and its
+    tape is shorter by exactly the records of the forced ones."""
+    params = DdtmParameters.init(CFG, seed=3)
+    instances, orders = instance_aug_batch(GenConfig.preset("mstop20", seed=66), 0)
+    fast, fast_grads, fast_len, fast_calls = skip_fingerprint(case, params, instances, orders)
+    with pytest.MonkeyPatch.context() as mp:
+        decode_every_step(mp)
+        slow, slow_grads, slow_len, slow_calls = skip_fingerprint(case, params, instances, orders)
+    assert fast == slow
+    forced = [records for records, was_forced in slow_calls if was_forced]
+    assert forced and fast_calls == [call for call in slow_calls if not call[1]]
+    assert slow_len - fast_len == sum(forced)
+    if case == "taped":
+        assert min(forced) > 0 and set(fast_grads) == set(slow_grads) == set(params.trainable())
+        for name, g in slow_grads.items():
+            assert fast_grads[name].tobytes() == g.tobytes(), name
 
 
 def test_gradient_reaches_every_parameter(params):

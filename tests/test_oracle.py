@@ -227,12 +227,13 @@ def test_tsili_matches_per_sample_reference_on_edge_instances(make, params):
 
 
 def stepped_row_counts(inst, params, seed):
-    """The number of rows of every state ``env.step`` sees in one solve."""
+    """The number of rows ``env.step`` steps in each call of one solve: a
+    state's rows, or the ``parent`` rows it takes from the state."""
     counts, real_step = [], env.step
 
-    def counting(state, actions, rows=None):
-        counts.append(len(state))
-        return real_step(state, actions, rows)
+    def counting(state, actions, rows=None, parent=None):
+        counts.append(len(state) if parent is None else len(parent))
+        return real_step(state, actions, rows, parent)
 
     with mock.patch.object(env, "step", counting):
         tsili_solve(inst, params, seed)

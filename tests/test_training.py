@@ -146,6 +146,30 @@ def test_zero_signal_null_parameters_frozen():
     assert all(np.all(m == 0) for m in adam.m.values())
 
 
+def test_batch_with_no_choice_takes_a_zero_step(monkeypatch):
+    """No vehicle of GEN's seed-0 instance reaches a customer, so no row of
+    its instance-aug batch ever has a choice: nothing is decoded and the
+    loss is a constant. The step gives what decoding the point masses gave:
+    all-zero gradients, norm 0.0, zero Adam moments after one Adam step,
+    unchanged weights and the batch statistics folded in."""
+    decoded = []
+    monkeypatch.setattr(mdl.RouteDecoder, "step", lambda *args: decoded.append(1))
+    seen, real_adam = [], training.adam_step
+    monkeypatch.setattr(training, "adam_step", lambda p, g, s: seen.append(g) or real_adam(p, g, s))
+    cfg, params, adam = fresh_setup()
+    before = params.copy()
+    diag = run_step(cfg, params, adam, instances=[generate(GEN)] * cfg.raw_per_step)
+    assert decoded == [] and diag.grad_norm == 0.0 and diag.mean_reward == 0.0
+    (grads,) = seen
+    assert set(grads) == set(params.trainable())
+    assert all(g.shape == params[name].shape and not g.any() for name, g in grads.items())
+    assert adam.step == 1 and set(adam.m) == set(params.trainable())
+    assert all(not m.any() and not v.any() for m, v in zip(adam.m.values(), adam.v.values()))
+    for name in params.keys():
+        unchanged = params[name].tobytes() == before[name].tobytes()
+        assert unchanged == (name not in params.stats), name
+
+
 def test_zero_advantage_gradient_is_alpha_times_entropy_gradient():
     """Zero prizes under the instance-aug baseline: every advantage is zero,
     so the surrogate's gradient is alpha times the entropy gradient."""
