@@ -24,7 +24,7 @@ print("\ndecoding vehicle 0's route with an untrained network:")
 while True:
     feas = env.feasible_mask(state)
     logp = dec.step(state.fuel, np.where(feas, 0.0, NEG_INF)[None])   # one row, masked
-    probs = np.exp(logp.values[0])
+    probs = np.exp(logp.values[0, 0])
     action = int(np.argmax(probs))
     line = "  ".join(f"{p:.3f}" if f else "  -  " for p, f in zip(probs, feas))
     print(f"  t_dec={dec.t_dec}  P(depot, customers...) = [{line}] -> action {action}")

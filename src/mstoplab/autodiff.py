@@ -392,11 +392,6 @@ def _op_batchnorm(vals, attrs, needs):
     return out, lambda g: (g * inv_std,)
 
 
-def _op_reshape(vals, attrs, needs):
-    (x,) = vals
-    return x.reshape(attrs["shape"]), lambda g: (g.reshape(x.shape),)
-
-
 def _op_take(vals, attrs, needs):
     # Row selection x[index] by a tuple of slices and integer arrays; repeated
     # indices add their gradients.
@@ -432,7 +427,6 @@ OP_KINDS = {
     "exp": _op_exp,
     "sum": _op_sum,
     "batchnorm": _op_batchnorm,
-    "reshape": _op_reshape,
     "take": _op_take,
 }
 
@@ -522,10 +516,6 @@ def batchnorm(x, running_mean, running_var, *, training):
     return forward("batchnorm", [x], {
         "running_mean": running_mean, "running_var": running_var, "training": training,
     })
-
-
-def reshape(x, shape):
-    return forward("reshape", [x], {"shape": shape})
 
 
 def take(x, index):

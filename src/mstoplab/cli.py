@@ -69,13 +69,16 @@ def _write_manifest(out, command, config):
     return manifest
 
 
-def _gen_config(args) -> GenConfig:
+def _gen_config(args, seed=GenConfig.seed) -> GenConfig:
+    shape = (args.n, args.k, args.t_max)
     if args.preset:
-        cfg = GenConfig.preset(args.preset, prize_mode=args.prizes, seed=args.seed)
+        if shape != (None, None, None):
+            raise UsageError(f"--preset {args.preset} fixes n, K and t_max; drop it or --n/--k/--t-max")
+        cfg = GenConfig.preset(args.preset, prize_mode=args.prizes, seed=seed)
     else:
-        if args.n is None or args.k is None or args.t_max is None:
+        if None in shape:
             raise UsageError("either --preset or all of --n/--k/--t-max are required")
-        cfg = GenConfig(n=args.n, k=args.k, t_max=args.t_max, prize_mode=args.prizes, seed=args.seed)
+        cfg = GenConfig(*shape, prize_mode=args.prizes, seed=seed)
     cfg.validate()
     return cfg
 
@@ -85,25 +88,22 @@ def _model_manifest(cfg: DdtmConfig) -> dict:
             "enc_layers": cfg.encoder_layers, "dec_layers": cfg.decoder_layers}
 
 
-def _add_gen_flags(p, with_count=True):
+def _add_gen_flags(p):
     p.add_argument("--preset", choices=sorted(PRESETS), default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--t-max", type=float, default=None)
     p.add_argument("--prizes", choices=PRIZE_MODES, default=GenConfig.prize_mode)
-    p.add_argument("--seed", type=int, default=GenConfig.seed)
-    if with_count:
-        p.add_argument("--count", type=int, default=100)
 
 
 # --- generate ----------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    cfg = _gen_config(args)
+    cfg = _gen_config(args, args.seed)
     if args.count < 0:
         raise UsageError("--count must be non-negative")
-    out = _out_dir(args.out)
     instances = generate_many(cfg, args.count)
+    out = _out_dir(args.out)
     path = os.path.join(out, "dataset.jsonl")
     save_dataset(instances, path)
     _write_manifest(out, "generate", {
@@ -220,8 +220,6 @@ def cmd_train(args) -> int:
         seed_data=args.seed_data, seed_model=args.seed_model, seed_rollout=args.seed_rollout,
     )
     train_cfg.validate()
-    if train_cfg.epochs < 1:    # the library's no-op; here it would write no checkpoint
-        raise UsageError(f"--epochs must be at least 1, got {train_cfg.epochs}")
     out = _out_dir(args.out)
     _write_manifest(out, "train", {
         "gen": {"n": gen_cfg.n, "k": gen_cfg.k, "t_max": gen_cfg.t_max,
@@ -351,6 +349,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="write a dataset of random instances")
     _add_gen_flags(p)
+    p.add_argument("--seed", type=int, default=GenConfig.seed)
+    p.add_argument("--count", type=int, default=100)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -369,7 +369,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("train", help="train the policy network")
-    _add_gen_flags(p, with_count=False)
+    _add_gen_flags(p)
     p.add_argument("--d", type=int, default=DdtmConfig.d)
     p.add_argument("--heads", type=int, default=DdtmConfig.heads)
     p.add_argument("--ff-dim", type=int, default=DdtmConfig.ff_dim)

@@ -185,17 +185,23 @@ def generate_many(config: GenConfig, count: int) -> list:
 def _generate(config: GenConfig, seed: int) -> Instance:
     """The instance of a validated config under ``seed``. The draws come out
     as Python floats, and every vehicle's fuel is drawn between its distance
-    to the depot and the route-duration cap."""
+    to the depot and the route-duration cap; a vehicle farther from the depot
+    than the cap is a ``ValueError``."""
     rng = np.random.default_rng(seed)
     dx, dy = rng.random(2).tolist()
     cust_xy = rng.random((config.n, 2)).tolist()
     prizes = [1.0] * config.n if config.prize_mode == "constant" else rng.random(config.n).tolist()
-    vehicles = tuple((x, y, float(rng.uniform(math.hypot(x - dx, y - dy), config.t_max)))
-                     for x, y in rng.random((config.k, 2)).tolist())
+    vehicles = []
+    for i, (x, y) in enumerate(rng.random((config.k, 2)).tolist()):
+        home = math.hypot(x - dx, y - dy)
+        if home > config.t_max:
+            raise ValueError(f"seed {seed}: vehicle {i} starts {home} from the depot, "
+                             f"beyond t_max={config.t_max}")
+        vehicles.append((x, y, float(rng.uniform(home, config.t_max))))
     inst = Instance(
         depot=(dx, dy),
         customers=tuple((x, y, p) for (x, y), p in zip(cust_xy, prizes)),
-        vehicles=vehicles,
+        vehicles=tuple(vehicles),
         t_max=float(config.t_max),
         prize_mode=config.prize_mode,
         seed=int(seed),

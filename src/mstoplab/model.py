@@ -373,7 +373,8 @@ class RouteDecoder:
         self.cur_rows = veh_part                                    # (G, 1, d)
 
     def step(self, fuels: np.ndarray, action_mask_add: np.ndarray):
-        """Log-probabilities over [depot, customers] for the current step.
+        """Log-probabilities over [depot, customers] for the current step,
+        (G, 1, n+1): every decoder tensor keeps its one query row.
 
         ``fuels`` is (G,) current fuel of the decoded rows' active vehicles;
         the additive action mask is (G, n+1) with 0 for feasible entries.
@@ -396,8 +397,7 @@ class RouteDecoder:
             self.hist[l].append(x_in)
         q = ad.matmul(ad.add(x, self.graph_q), bind("final_wq"))    # (G, 1, d)
         raw = ad.mul(ad.matmul(q, self.k_final, transpose_b=True), 1.0 / math.sqrt(cfg.d))
-        logits = ad.reshape(ad.mul(ad.tanh(raw), LOGIT_CLAMP), (b, self.n + 1))
-        return ad.log_softmax(logits, mask=action_mask_add)
+        return ad.log_softmax(ad.mul(ad.tanh(raw), LOGIT_CLAMP), mask=action_mask_add[:, None, :])
 
     def advance(self, actions: np.ndarray):
         """Move to the next decode step: each state row's chosen node (one
@@ -485,7 +485,7 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
             feasible = env.feasible_mask(state, open_rows)[lead]
             if _has_choice(feasible):
                 logp = dec.step(state.fuel[lead], np.where(feasible, 0.0, NEG_INF))
-                probs = np.exp(logp.values)
+                probs = np.exp(logp.values[:, 0])
                 if not np.isfinite(probs).all():
                     bad = ~np.isfinite(probs).all(axis=1)
                     row = int(np.flatnonzero((dec.group >= 0) & bad[dec.group])[0])
@@ -516,9 +516,9 @@ def rollout_states(instances, orders, params, cfg: DdtmConfig, *,
     # before the entropies fixes the order in which each log-probability's
     # gradients add up.
     actions, rows = np.stack(record, axis=1), np.stack(rows)        # (B, T), (T, B)
-    stacked = ad.concat(logps + [np.zeros((1, state.visited.shape[1] + 1))], axis=0)
-    chosen = ad.take(stacked, (rows, np.maximum(actions, 0).T))
-    ent = ad.take(_entropy(stacked), (rows,))
+    stacked = ad.concat(logps + [np.zeros((1, 1, state.visited.shape[1] + 1))], axis=0)
+    chosen = ad.take(stacked, (rows, 0, np.maximum(actions, 0).T))
+    ent = ad.take(_entropy(stacked), (rows, 0))
     return BatchRollout(
         orders=state.orders,
         actions=actions,

@@ -62,8 +62,10 @@ class TrainConfig:
     def validate(self):
         if self.baseline not in BASELINES:
             raise ValueError(f"baseline must be one of {BASELINES}, got '{self.baseline}'")
-        if self.alpha < 0 or self.batch < 1 or self.epochs < 0 or self.steps_per_epoch < 1:
+        if self.alpha < 0 or self.batch < 1 or self.steps_per_epoch < 1:
             raise ValueError(f"invalid training config: {self}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         # each of these trains silently wrong: a negative clip factor makes Adam
         # climb the loss, and with no validation instances best.ckpt never moves
         if not self.lr > 0:
@@ -225,8 +227,6 @@ def train(params: DdtmParameters | None, model_cfg: DdtmConfig, cfg: TrainConfig
         instance_sampler = default_sampler(gen_cfg)
     if params is None:
         params = DdtmParameters.init(model_cfg, seed=cfg.seed_model)
-    if cfg.epochs == 0:
-        return params, []
     val_instances = validation_set(gen_cfg, cfg.validation_size, cfg.seed_data)
 
     adam = AdamState(lr=cfg.lr)

@@ -148,7 +148,6 @@ def test_criterion_3_gradient_suite(rng):
          [(6, 3, 5)], {}),
         ("batchnorm-eval", lambda l: ad.batchnorm(l[0], rm, rv, training=False),
          [(6, 3, 5)], {}),
-        ("reshape", lambda l: ad.reshape(l[0], (2, 10)), [(4, 5)], {}),
         ("take-slice", lambda l: ad.take(l[0], (slice(None), np.array([0, 2, 2, 1]))),
          [(2, 5, 3)], {}),
         ("take-row", lambda l: ad.take(l[0], (np.arange(3)[:, None], np.array([[1], [0], [3]]))),

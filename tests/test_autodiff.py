@@ -87,7 +87,6 @@ def test_shape_mismatch_names_kind():
         ("matmul", lambda: ad.matmul(c(np.ones((2, 3))), c(np.ones((4, 2))))),                # inner extent
         ("matmul", lambda: ad.matmul(c(np.ones((2, 3))), c(np.ones(3)))),                     # 1-D operand
         ("matmul", lambda: ad.matmul(c(np.ones((2, 2, 3))), c(np.ones((2, 4, 2))), transpose_b=True)),
-        ("reshape", lambda: ad.reshape(c(np.ones((4, 5))), (3, 7))),
         ("log_softmax", lambda: ad.log_softmax(c(np.ones((4, 6))), np.zeros((4, 5)))),
         ("sum", lambda: ad.tsum(c(np.ones((2, 3))), axis=2)),
         ("batchnorm", lambda: ad.batchnorm(c(np.ones((4, 3))), np.zeros(2), np.ones(2), training=False)),
@@ -278,13 +277,15 @@ def test_gradients_all_kinds(rng):
         ("sum-all", lambda l: ad.tsum(l[0]), [(4, 4)], {}),
         ("batchnorm-train", lambda l: ad.batchnorm(l[0], rm, rv, training=True), [(6, 3, 5)], {}),
         ("batchnorm-eval", lambda l: ad.batchnorm(l[0], rm, rv, training=False), [(6, 3, 5)], {}),
-        ("reshape", lambda l: ad.reshape(l[0], (2, 10)), [(4, 5)], {}),
-        # the decoder's three uses: node rows (repeated here), a row per batch
-        # element, and one entry per row
+        # the decoder's uses: node rows (repeated here), a row per batch
+        # element, one entry per row, and the rollout's gather of one entry
+        # per row past the unit query-row axis
         ("take-slice", lambda l: ad.take(l[0], (slice(None), np.array([0, 2, 2, 1]))), [(2, 5, 3)], {}),
         ("take-row", lambda l: ad.take(l[0], (np.arange(3)[:, None], np.array([[1], [0], [3]]))),
          [(3, 4, 5)], {}),
         ("take-scalar", lambda l: ad.take(l[0], (np.arange(4), np.array([1, 0, 4, 4]))), [(4, 5)], {}),
+        ("take-gather", lambda l: ad.take(l[0], (np.array([2, 0, 2]), 0, np.array([1, 3, 1]))),
+         [(3, 1, 5)], {}),
     ] + attention_probe_cases()
     for name, builder, shapes, kw in cases:
         check_op_gradients(builder, shapes, rng, probes=100, **kw)
@@ -302,6 +303,7 @@ def test_take_backward_matches_add_at_bytes(rng):
         ((2, 5, 3), (slice(None), np.array([0, 2, 2, 1]))),                  # repeated
         ((4, 5), (np.array([[0], [0], [3]]), np.array([[1], [1], [-1]]))),
         ((5, 2), (np.array([4, -1, 0]),)),
+        ((3, 1, 5), (np.array([[2, 0], [2, 1]]), 0, np.array([[1, 3], [1, 0]]))),   # repeated
     ]
     for shape, index in cases:
         x = rng.standard_normal(shape)

@@ -60,6 +60,28 @@ def test_generate_requires_shape_flags(tmp_path):
     assert run_cli(["generate", "--count", "3", "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("command", ["generate", "train"])
+@pytest.mark.parametrize("flag, value", [("--n", "20"), ("--k", "3"), ("--t-max", "2.5")])
+def test_preset_with_a_shape_flag_is_usage_error(tmp_path, capsys, command, flag, value):
+    """``--preset`` fixes n, K and t_max, so giving one of them as well is
+    rejected, whether both come as flags or the preset from ``--config``."""
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text(f"[{command}]\npreset = mstop10\n")
+    for n, argv in enumerate(([command, "--preset", "mstop10"], ["--config", str(cfg), command])):
+        out = tmp_path / f"out{n}"
+        assert run_cli(argv + [flag, value, "--out", str(out)]) == 1
+        assert "--preset mstop10 fixes n, K and t_max" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_generate_vehicle_beyond_t_max_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert run_cli(["generate", "--n", "3", "--k", "4", "--t-max", "0.7", "--count", "2",
+                    "--seed", "0", "--out", str(out)]) == 1
+    assert "usage error: seed 1: vehicle 0 starts 0.92" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -214,6 +236,17 @@ def test_train_alpha_echo_and_ablation_arm(tmp_path, capsys):
     assert "baseline=greedy-rollout" in printed and "alpha=0.0" in printed
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["train"]["k_aug"] == 1
+
+
+def test_train_takes_no_seed(tmp_path, capsys):
+    """Training draws only from --seed-data, --seed-model and --seed-rollout;
+    a bare --seed would change nothing, so it is rejected as ambiguous."""
+    out = tmp_path / "run"
+    assert run_cli(["train", "--n", "5", "--k", "2", "--t-max", "1.5", "--epochs", "1",
+                    "--steps", "1", "--batch", "16", "--val-size", "8", "--seed", "1",
+                    "--out", str(out)]) == 1
+    assert "--seed could match --seed-data, --seed-model, --seed-rollout" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_rerun_identical_metrics(tmp_path):

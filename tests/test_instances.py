@@ -65,6 +65,15 @@ def test_invalid_config_rejected():
         GenConfig.preset("mstop11")
 
 
+def test_generate_names_a_vehicle_farther_from_the_depot_than_t_max():
+    """No fuel fits between such a vehicle's distance to the depot and t_max:
+    the error names the vehicle, that distance and t_max before it draws."""
+    generate(GenConfig(n=3, k=4, t_max=0.7, seed=0))
+    with pytest.raises(ValueError, match=r"^seed 1: vehicle 0 starts 0\.92\d* from the depot, "
+                                         r"beyond t_max=0\.7$"):
+        generate_many(GenConfig(n=3, k=4, t_max=0.7, seed=0), 2)
+
+
 # --- eight-fold augmentation -------------------------------------------------
 
 def test_augmentation_point_maps():

@@ -29,11 +29,12 @@ def params():
 
 def first_step_probs(state, params):
     """Action probabilities of the first decode step of a one-row state's
-    active route, from the encoder and decoder the rollouts use."""
+    active route, from the encoder and decoder the rollouts use: shaped
+    (1, 1, n+1), the decoded row's one query row over [depot, customers]."""
     emb = encode_states(state, params, CFG)
     dec = RouteDecoder(emb, params, CFG, active_vehicles(state))
     mask = np.where(env.feasible_mask(state), 0.0, NEG_INF)
-    return np.exp(dec.step(state.fuel, mask.reshape(1, -1)).values[0])
+    return np.exp(dec.step(state.fuel, mask.reshape(1, -1)).values)
 
 
 # --- configuration -----------------------------------------------------------
@@ -452,7 +453,8 @@ def test_decode_distribution_contract(params):
     inst = generous_instance(n=5, k=2)
     st = env.reset(inst, (0, 1))
     probs = first_step_probs(st, params)
-    assert probs.shape == (inst.n + 1,)
+    assert probs.shape == (1, 1, inst.n + 1)
+    probs = probs[0, 0]
     assert abs(probs.sum() - 1.0) <= 1e-6
     assert np.all(probs >= 0)
     feas = env.feasible_mask(st)
@@ -465,10 +467,10 @@ def test_decode_distribution_contract(params):
 
 
 def test_taped_encoder_and_decoder_step_op_kinds(params, monkeypatch):
-    """Each attention block is one ``attention`` op, and the only ``reshape``
-    left is the one that flattens the logits. A taped regroup narrows each
-    per-route tensor with one ``take`` and collapses each history layer with
-    one ``concat`` before its ``take``."""
+    """Each attention block is one ``attention`` op, and the scores go to
+    ``log_softmax`` with their one query row kept. A taped regroup narrows
+    each per-route tensor with one ``take`` and collapses each history layer
+    with one ``concat`` before its ``take``."""
     issued, real = [], ad.forward
 
     def recording(kind, inputs, attrs=None):
@@ -487,7 +489,7 @@ def test_taped_encoder_and_decoder_step_op_kinds(params, monkeypatch):
     dec = RouteDecoder(emb, bind, CFG, active_vehicles(state))
     mask = np.where(env.feasible_mask(state), 0.0, NEG_INF)
     head = ["concat", "matmul", "add"]
-    tail = ["add", "matmul", "matmul", "mul", "tanh", "mul", "reshape", "log_softmax"]
+    tail = ["add", "matmul", "matmul", "mul", "tanh", "mul", "log_softmax"]
     # kv_att per layer, then k_final and graph_q, then the history per layer
     regroup = (["take", "take"] * CFG.decoder_layers + ["take", "take"]
                + ["concat", "take"] * CFG.decoder_layers)
@@ -508,7 +510,7 @@ def test_taped_encoder_and_decoder_step_op_kinds(params, monkeypatch):
 def test_decode_point_mass_when_everything_masked(params):
     inst = Instance(depot=(0.0, 0.0), customers=((0.9, 0.9, 1.0), (0.8, 0.8, 1.0)),
                     vehicles=((0.3, 0.4, 0.5),), t_max=1.0)
-    probs = first_step_probs(env.reset(inst, (0,)), params)
+    probs = first_step_probs(env.reset(inst, (0,)), params)[0, 0]
     assert probs[0] == 1.0 and np.all(probs[1:] == 0.0)
     ent = -(probs[probs > 0] * np.log(probs[probs > 0])).sum()
     assert ent == 0.0
@@ -760,11 +762,11 @@ def per_step_sums(steps, actions):
     total, acting = 0.0, 0
     for (logp, group), col in zip(steps, actions.T):
         if logp is None:
-            padded, group = ad.constant(np.zeros((1, 1))), np.full(len(col), -1)
+            padded, group = ad.constant(np.zeros((1, 1, 1))), np.full(len(col), -1)
         else:
-            padded = ad.concat([logp, np.zeros((1, logp.shape[1]))], axis=0)
-        chosen = ad.take(padded, (group, np.maximum(col, 0)))
-        ent = ad.take(mdl._entropy(padded), (group,))
+            padded = ad.concat([logp, np.zeros((1, 1, logp.shape[2]))], axis=0)
+        chosen = ad.take(padded, (group, 0, np.maximum(col, 0)))
+        ent = ad.take(mdl._entropy(padded), (group, 0))
         logp_sum = chosen if logp_sum is None else ad.add(logp_sum, chosen)
         entropy_sum = ent if entropy_sum is None else ad.add(entropy_sum, ent)
         total += float(ent.values.sum())
